@@ -20,8 +20,7 @@ from repro.graphs import cycle_graph, star_graph
 from repro.lab.quick import pick
 from repro.protocols import (GeneralGNIProtocol, GNIGoldwasserSipserProtocol,
                              gni_instance, isomorphism_closure_encodings,
-                             pair_catalog, pair_rate,
-                             per_repetition_success_rate)
+                             pair_catalog, per_repetition_success_rate)
 
 RATE_TRIALS = pick(100, 40)
 RUNS = pick(6, 4)
@@ -43,8 +42,9 @@ def test_gap_collapse_and_restoration(benchmark):
             per_repetition_success_rate(g0, g1, base, RATE_TRIALS, rng),
             per_repetition_success_rate(g0, g1_iso, base, RATE_TRIALS,
                                         rng),
-            pair_rate(g0, g1, general, RATE_TRIALS, rng),
-            pair_rate(g0, g1_iso, general, RATE_TRIALS, rng),
+            per_repetition_success_rate(g0, g1, general, RATE_TRIALS, rng),
+            per_repetition_success_rate(g0, g1_iso, general, RATE_TRIALS,
+                                        rng),
         )
 
     (base_s_yes, base_s_no, gen_s_yes, gen_s_no,

@@ -11,8 +11,7 @@ table is attributed to the bench module that reported it (inferred
 from the caller's frame), and at session end one ``BENCH_<name>.json``
 summary is flushed per module — ``bench_runner.py`` produces
 ``BENCH_runner.json``, which is also the legacy CI artifact, so no
-separate aggregate is written.  The lab result store keeps its
-``bench_tables.jsonl`` mirror exactly as before.
+separate aggregate is written.
 
 The whole pytest session runs inside a metrics-only observability
 session (no span capture — benchmarks loop too hot for that), so each

@@ -6,7 +6,9 @@ before executing a cell, a ``done`` immediately after the cell's
 record landed in the shard-local store.  Appends go through one
 ``os.write`` on an ``O_APPEND`` descriptor, so concurrent shards
 interleave whole lines, never fragments (POSIX appends of a few
-hundred bytes are atomic on local filesystems).
+hundred bytes are atomic on local filesystems).  A line torn by a
+crash mid-append is skipped on read, and the next append starts on
+its own line (the result store's JSONL rules).
 
 The log is the crash-forensics side of the resume protocol: a cell
 whose last event is a ``claim`` with no matching ``done`` was in
@@ -19,10 +21,11 @@ append-only — recovery never rewrites history, it appends more.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..lab.store import append_jsonl, read_jsonl
 
 #: Subdirectory of the store root holding fleet coordination state.
 FLEET_DIR = "fleet"
@@ -44,26 +47,12 @@ def append_lease(root: Path, event: str, spec: str, key: str,
     record = {"event": event, "spec": spec, "key": key,
               "shard": shard, "attempt": attempt,
               "ts": round(time.time(), 3)}
-    line = json.dumps(record, sort_keys=True) + "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, line.encode("ascii"))
-    finally:
-        os.close(fd)
+    append_jsonl(path, json.dumps(record, sort_keys=True))
 
 
 def scan_leases(root: Path) -> List[Dict[str, Any]]:
     """Every lease event, in append order (empty if no fleet ran)."""
-    path = leases_path(root)
-    if not path.exists():
-        return []
-    events = []
-    with path.open("r", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+    return list(read_jsonl(leases_path(root)))
 
 
 def lease_states(events: List[Dict[str, Any]]

@@ -23,8 +23,8 @@ from .runner import (CellResult, compute_cell, fit_points, run_spec,
                      run_specs, spec_cells)
 from .spec import (ExperimentSpec, GRAPHS, PROTOCOLS, PROVERS, REGISTRY,
                    get_spec, get_specs)
-from .store import (DETERMINISTIC_FIELDS, ResultStore, TableRecorder,
-                    cell_key, default_store_root, record_key)
+from .store import (DETERMINISTIC_FIELDS, ResultStore, cell_key,
+                    default_store_root, record_key)
 
 __all__ = [
     "CellResult",
@@ -39,7 +39,6 @@ __all__ = [
     "PROVERS",
     "REGISTRY",
     "ResultStore",
-    "TableRecorder",
     "cell_key",
     "check_spec",
     "check_specs",

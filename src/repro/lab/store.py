@@ -1,30 +1,22 @@
 """Append-only, content-addressed JSONL result store.
 
 Every number a lab experiment produces lands here as one JSON record
-per line under ``benchmarks/lab_store/``:
-
-* **cell records** — one file per spec, named
-  ``<spec-name>-<spec-hash>.jsonl``; each line is one executed cell
-  (size × prover × trials × seed) with its deterministic measurements
-  (bits/node, per-round bits, accepted counts) plus wall-clock
-  instrumentation.  Files are append-only; on replays the *last*
-  record for a cell key wins.  Because the file name carries the
-  spec's identity hash, editing a spec's identity retires its old
-  records automatically.
-* **table records** — ``bench_tables.jsonl``, the machine-readable
-  mirror of every table the pytest-benchmark suite prints (the same
-  payload that historically went only to ``BENCH_runner.json``).
-
-The store is the single writer for both channels, so ``lab run`` and
-``pytest benchmarks/`` produce one consistent record format in one
-place.
+per line under ``benchmarks/lab_store/``, one file per spec, named
+``<spec-name>-<spec-hash>.jsonl``.  Each line is one executed cell
+(size × prover × trials × seed) with its deterministic measurements
+(bits/node, per-round bits, accepted counts) plus wall-clock
+instrumentation.  Files are append-only; on replays the *last* record
+for a cell key wins.  Because the file name carries the spec's
+identity hash, editing a spec's identity retires its old records
+automatically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional
 
 from .spec import ExperimentSpec
 
@@ -34,8 +26,6 @@ from .spec import ExperimentSpec
 DETERMINISTIC_FIELDS = ("spec", "spec_hash", "n", "size", "prover",
                         "trials", "seed", "accepted", "bits",
                         "round_bits", "extra")
-
-TABLES_FILE = "bench_tables.jsonl"
 
 
 def default_store_root() -> Path:
@@ -57,13 +47,50 @@ def record_key(record: Dict[str, Any]) -> str:
                     record["seed"])
 
 
+def read_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
+    """Every whole record of a JSONL file, in append order.
+
+    A line that does not parse is a record torn by a crash mid-append
+    (SIGKILL, a full disk); it is skipped as if the append never
+    happened, so a resumed run recomputes exactly that cell.
+    """
+    if not path.exists():
+        return
+    with path.open("r", encoding="ascii") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            yield record
+
+
+def append_jsonl(path: Path, line: str) -> None:
+    """Append one record line with a single ``write`` on an
+    ``O_APPEND`` descriptor.
+
+    A file that does not end in a newline ends in a torn record; the
+    new record then starts on its own line rather than being glued to
+    the fragment (which :func:`read_jsonl` skips).
+    """
+    data = line.encode("ascii") + b"\n"
+    with path.open("a+b", buffering=0) as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                data = b"\n" + data
+        handle.write(data)
+
+
 class ResultStore:
     """Reader/writer for the lab's JSONL record files."""
 
     def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else default_store_root()
-
-    # -- cell records ---------------------------------------------------
 
     def spec_path(self, spec: ExperimentSpec) -> Path:
         return self.root / f"{spec.name}-{spec.hash}.jsonl"
@@ -71,18 +98,8 @@ class ResultStore:
     def load_cells(self, spec: ExperimentSpec) -> Dict[str, Dict[str, Any]]:
         """All recorded cells of a spec, keyed by cell key (last record
         for a key wins — the append-only replay rule)."""
-        path = self.spec_path(spec)
-        cells: Dict[str, Dict[str, Any]] = {}
-        if not path.exists():
-            return cells
-        with path.open("r", encoding="ascii") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                cells[record_key(record)] = record
-        return cells
+        return {record_key(record): record
+                for record in read_jsonl(self.spec_path(spec))}
 
     def has_cell(self, spec: ExperimentSpec, key: str) -> bool:
         return key in self.load_cells(spec)
@@ -93,76 +110,5 @@ class ResultStore:
                 or record.get("spec_hash") != spec.hash:
             raise ValueError("record does not belong to this spec")
         self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self.spec_path(spec).open("a", encoding="ascii") as handle:
-            handle.write(line + "\n")
-
-    # -- table records --------------------------------------------------
-
-    @property
-    def tables_path(self) -> Path:
-        return self.root / TABLES_FILE
-
-    def write_tables(self, source: str,
-                     tables: Sequence[Dict[str, Any]]) -> None:
-        """Replace the benchmark-table channel with this session's
-        tables (tables are session artifacts, not regression cells)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self.tables_path.open("w", encoding="ascii") as handle:
-            for table in tables:
-                record = {"kind": "table", "source": source, **table}
-                handle.write(json.dumps(record, sort_keys=True,
-                                        default=str) + "\n")
-
-    def load_tables(self) -> List[Dict[str, Any]]:
-        if not self.tables_path.exists():
-            return []
-        with self.tables_path.open("r", encoding="ascii") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
-
-class TableRecorder:
-    """Collects result tables during a benchmark session and flushes
-    them to the store (plus the legacy ``BENCH_runner.json`` mirror).
-
-    This is the engine behind ``benchmarks/conftest.py``'s
-    ``report_table`` — lifted into the library so pytest-benchmark
-    sessions and ``lab run`` share one recorder and one record format.
-    """
-
-    def __init__(self, json_path: Optional[Path] = None,
-                 store: Optional[ResultStore] = None,
-                 source: str = "benchmarks/conftest.py") -> None:
-        self.json_path = Path(json_path) if json_path else None
-        self.store = store if store is not None else ResultStore()
-        self.source = source
-        self.tables: List[Dict[str, Any]] = []
-
-    def report(self, benchmark: Any, title: str,
-               header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> str:
-        """Record one table, attach it to the benchmark (when given),
-        and return the printable rendering."""
-        header = list(header)
-        rows = [list(row) for row in rows]
-        self.tables.append({"title": title, "header": header,
-                            "rows": rows})
-        if benchmark is not None:
-            benchmark.extra_info["table"] = {
-                "title": title, "header": header, "rows": rows}
-        width = max(len(str(c)) for row in rows + [header] for c in row) + 2
-        lines = [f"\n=== {title} ===",
-                 "".join(str(c).ljust(width) for c in header)]
-        lines.extend("".join(str(c).ljust(width) for c in row)
-                     for row in rows)
-        return "\n".join(lines)
-
-    def flush(self) -> None:
-        """Write the session's tables to the store and the JSON mirror
-        (no-op when nothing was recorded)."""
-        if not self.tables:
-            return
-        self.store.write_tables(self.source, self.tables)
-        if self.json_path is not None:
-            payload = {"source": self.source, "tables": self.tables}
-            self.json_path.write_text(
-                json.dumps(payload, indent=2, default=str) + "\n")
+        append_jsonl(self.spec_path(spec),
+                     json.dumps(record, sort_keys=True, default=str))

@@ -6,13 +6,9 @@ ROADMAP asks for was never populated.  :class:`BenchRecorder` fixes
 that: every table reported during a pytest-benchmark session is
 attributed to the bench module that produced it, and at session end
 one ``BENCH_<name>.json`` summary is written per module (``bench_gni``
-→ ``BENCH_gni.json``) next to the legacy aggregate, each carrying the
-session's obs metrics snapshot when an observability session was
-active.
-
-The lab result store's table channel (``bench_tables.jsonl``) keeps
-receiving every table exactly as before — the recorder wraps
-:class:`repro.lab.store.ResultStore`, it does not replace it.
+→ ``BENCH_gni.json``), each carrying the session's obs metrics
+snapshot when an observability session was active, and one normalized
+record per module is appended to ``bench_history.jsonl``.
 """
 
 from __future__ import annotations
@@ -50,25 +46,13 @@ class BenchRecorder:
     bench_dir:
         Directory the ``BENCH_<name>.json`` summaries land in
         (``benchmarks/`` in a checkout).
-    store:
-        The lab :class:`~repro.lab.store.ResultStore` mirror; None
-        uses the default store root.
-    aggregate:
-        Optional path for the legacy all-tables aggregate
-        (``BENCH_runner.json`` historically).
+    history:
+        The ``bench_history.jsonl`` path; None disables the trajectory.
     """
 
     def __init__(self, bench_dir: Path,
-                 store: Optional[Any] = None,
-                 aggregate: Optional[Path] = None,
-                 source: str = "benchmarks/conftest.py",
                  history: Optional[Path] = None) -> None:
-        from ..lab.store import ResultStore
-
         self.bench_dir = Path(bench_dir)
-        self.store = store if store is not None else ResultStore()
-        self.aggregate = Path(aggregate) if aggregate else None
-        self.source = source
         #: ``bench_history.jsonl`` path; None disables the trajectory.
         self.history = Path(history) if history else None
         #: module name -> its tables, in report order.
@@ -135,12 +119,6 @@ class BenchRecorder:
                      for row in rows)
         return "\n".join(lines)
 
-    @property
-    def tables(self) -> List[Dict[str, Any]]:
-        """Every recorded table, in module order."""
-        return [table for module in sorted(self.by_module)
-                for table in self.by_module[module]]
-
     # -- flushing --------------------------------------------------------
 
     def _metrics_snapshot(self) -> Optional[Dict[str, Any]]:
@@ -184,14 +162,12 @@ class BenchRecorder:
         return records
 
     def flush(self) -> List[Path]:
-        """Write per-module summaries, the legacy aggregate, the
-        store's table channel, and the bench-history trajectory.
+        """Write per-module summaries and the bench-history trajectory.
         Returns the summary paths written; ``self.log`` carries the
         appended/replaced lines (also printed)."""
         self.log = []
         written: List[Path] = []
         if self.by_module:
-            self.store.write_tables(self.source, self.tables)
             metrics = self._metrics_snapshot()
             self.bench_dir.mkdir(parents=True, exist_ok=True)
             for module in sorted(self.by_module):
@@ -205,12 +181,6 @@ class BenchRecorder:
                 path = self.bench_dir / bench_summary_name(module)
                 self._write_summary(path, payload)
                 written.append(path)
-            if self.aggregate is not None:
-                payload = {"source": self.source, "tables": self.tables}
-                if metrics is not None:
-                    payload["metrics"] = metrics
-                self._write_summary(self.aggregate, payload)
-                written.append(self.aggregate)
         if self.history is not None and self._module_order:
             self.log.extend(
                 append_records(self.history, self.history_records()))

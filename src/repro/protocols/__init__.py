@@ -18,8 +18,7 @@ from .gni import (GNIDAMProtocol, GNIGoldwasserSipserProtocol,
 from .gni_marked import (MARK_NONE, MARK_ONE, MARK_ZERO,
                          MarkedGNIProtocol, MarkedGSProver,
                          marked_instance, marked_subgraph)
-from .gni_general import (GeneralGNIProtocol, GeneralGSProver,
-                          pair_catalog, pair_rate)
+from .gni_general import GeneralGNIProtocol, GeneralGSProver, pair_catalog
 from .lcp import ConnectivityLCP, DSymLCP, SymLCP
 from .sym_dam import (AdaptiveCollisionProver, CommittedDAMProver,
                       HonestSymDAMProver, SymDAMProtocol,

@@ -54,32 +54,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.amplify import choose_threshold, threshold_guarantees
-from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
-                          ProtocolViolation, Prover, PATTERN_DAMAM,
-                          bits_for_identifier, bits_for_value, field_cost,
-                          sequence_field, uint_fits, uint_tuple_fits)
+from ..core.model import Instance, Prover
 from ..graphs.graph import Graph
-from ..hashing.api import APIChallenge, DistributedAPIHash, gs_output_modulus
 from ..hashing.rowmatrix import image_bits
-from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, tree_check)
-from ._tree_hash import closed_row_bits, honest_aggregates
-
-FIELD_ECHO = "echo"
-FIELD_CLAIMS = "claims"
-FIELD_PARTIALS = "partials"
-
-ROUND_A0 = 0
-ROUND_M1 = 1
-ROUND_A2 = 2
-ROUND_M3 = 3
+from ._gs import (FIELD_CLAIMS, FIELD_ECHO, FIELD_PARTIALS,  # noqa: F401
+                  GS_ROOT, GNIGuarantees, GSProtocol, GSProver, ROUND_A0,
+                  ROUND_A2, ROUND_M1, ROUND_M3, gs_cost_declaration,
+                  per_repetition_success_rate)
 
 #: The spanning tree root is fixed publicly; the prover picks nothing.
-GNI_ROOT = 0
+GNI_ROOT = GS_ROOT
 
 
 def gni_instance(g0: Graph, g1: Graph) -> Instance:
@@ -110,396 +96,44 @@ def isomorphism_closure_encodings(g0: Graph,
     return catalog
 
 
-@dataclass(frozen=True)
-class GNIGuarantees:
-    """Analytic per-repetition bounds and the amplified guarantee."""
-
-    p_yes_lower: float
-    p_no_upper: float
-    repetitions: int
-    threshold: int
-    completeness: float
-    soundness_error: float
-
-
-class GNIGoldwasserSipserProtocol(Protocol):
+class GNIGoldwasserSipserProtocol(GSProtocol):
     """The dAMAM GNI protocol on ``n`` vertices.
 
     ``repetitions`` is the total GS repetition count, split across the
     two Arthur–Merlin batches.  The default threshold is the exact-
-    binomial optimum for the analytic per-repetition bounds.
+    binomial optimum for the analytic per-repetition bounds.  A claim
+    is ``(b, σ)`` with σ a full permutation table; node v's term is its
+    row of ``σ(G_b)``.
     """
 
     name = "gni-damam"
-    pattern = PATTERN_DAMAM
+    catalog_key = "gni.catalog"
 
     def __init__(self, n: int, repetitions: int = 60,
                  q: Optional[int] = None, big_q: Optional[int] = None,
                  threshold: Optional[int] = None) -> None:
-        if n < 2:
-            raise ValueError("GNI needs at least 2 vertices")
-        if repetitions < 2:
-            raise ValueError("need at least one repetition per batch")
-        self.n = n
-        self.set_size_yes = 2 * math.factorial(n)
-        self.q = q if q is not None else gs_output_modulus(self.set_size_yes)
-        self.hash = DistributedAPIHash(m=n * n, q=self.q, big_q=big_q)
-        self.batch_sizes = self._split_batches(repetitions)
-        p_yes, p_no = self.repetition_bounds()
-        self.threshold = (threshold if threshold is not None
-                          else choose_threshold(repetitions, p_yes, p_no))
+        super().__init__(n, repetitions, q, big_q, threshold,
+                         set_size_yes=2 * math.factorial(n),
+                         hash_bits=n * n)
 
-    def _split_batches(self, repetitions: int) -> Tuple[int, ...]:
-        """One batch per Arthur–Merlin exchange in the pattern."""
-        return (repetitions - repetitions // 2, repetitions // 2)
+    def catalog(self, g0: Graph, g1: Graph
+                ) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
+        return isomorphism_closure_encodings(g0, g1)
 
-    def round_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """The (Arthur round, Merlin round) pairs, one per batch."""
-        return ((ROUND_A0, ROUND_M1), (ROUND_A2, ROUND_M3))
-
-    # -- analysis ----------------------------------------------------------
-
-    @property
-    def repetitions(self) -> int:
-        return sum(self.batch_sizes)
-
-    def repetition_bounds(self) -> Tuple[float, float]:
-        """(YES lower bound, NO upper bound) on per-repetition success.
-
-        Inclusion–exclusion with the ε-API axioms:
-        ``Pr[∃x ∈ S : h(x) = y] ≥ |S|(1−δ)/q − (1+ε)|S|²/(2q²)`` and
-        ``≤ |S|(1+δ)/q``.
-        """
-        eps, delta = self.hash.epsilon, self.hash.delta
-        s_yes = self.set_size_yes
-        s_no = s_yes // 2
-        p_yes = (s_yes * (1 - delta) / self.q
-                 - (1 + eps) * s_yes * s_yes / (2 * self.q * self.q))
-        p_no = s_no * (1 + delta) / self.q
-        return p_yes, p_no
-
-    def guarantees(self) -> GNIGuarantees:
-        """The analytic completeness / soundness of this configuration."""
-        p_yes, p_no = self.repetition_bounds()
-        completeness, soundness = threshold_guarantees(
-            self.repetitions, self.threshold, p_yes, p_no)
-        return GNIGuarantees(
-            p_yes_lower=p_yes, p_no_upper=p_no,
-            repetitions=self.repetitions, threshold=self.threshold,
-            completeness=completeness, soundness_error=soundness)
-
-    # -- model -------------------------------------------------------------
-
-    def validate_instance(self, instance: Instance) -> None:
-        super().validate_instance(instance)
-        if instance.n != self.n:
-            raise ValueError(
-                f"protocol built for n={self.n}, instance has n={instance.n}")
-        if instance.inputs is None:
-            raise ValueError("GNI instances carry G₁ rows as node inputs")
-        for v in instance.graph.vertices:
-            row = instance.input_of(v)
-            if (not isinstance(row, int) or row >> self.n
-                    or not (row >> v) & 1):
-                raise ValueError(
-                    f"node {v} input is not a closed G₁ adjacency row")
-
-    def _batch(self, a_round: int) -> int:
-        for index, (arthur, _merlin) in enumerate(self.round_pairs()):
-            if arthur == a_round:
-                return index
-        raise ValueError(f"round {a_round} is not an Arthur round")
-
-    # -- Arthur ----------------------------------------------------------
-
-    def arthur_value(self, instance: Instance, round_idx: int, v: int,
-                     rng: random.Random) -> Tuple[Tuple[int, ...], ...]:
-        """Per repetition: (c_v, s, a, b, y).
-
-        Every node samples the full tuple so challenges are identically
-        distributed; the shared parts (s, a, b, y) are only *used* from
-        the root's challenge, as in Protocol 1's root-randomness trick.
-        """
-        reps = self.batch_sizes[self._batch(round_idx)]
-        values = []
-        for _ in range(reps):
-            c = self.hash.sample_node_offset(rng)
-            s, a, b, y = self.hash.sample_root_part(rng)
-            values.append((c, s, a, b, y))
-        return tuple(values)
-
-    def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        reps = self.batch_sizes[self._batch(round_idx)]
-        return reps * (self.hash.node_seed_bits + self.hash.root_seed_bits)
-
-    # -- Merlin ----------------------------------------------------------
-
-    def broadcast_fields(self, round_idx: int) -> FrozenSet[str]:
-        return frozenset({FIELD_ECHO, FIELD_CLAIMS})
-
-    def merlin_fields(self, round_idx: int) -> FrozenSet[str]:
-        fields = {FIELD_ECHO, FIELD_CLAIMS, FIELD_PARTIALS}
-        if round_idx == ROUND_M1:
-            fields |= {FIELD_PARENT, FIELD_DIST}
-        return frozenset(fields)
-
-    def merlin_bits(self, instance: Instance, round_idx: int,
-                    message: NodeMessage) -> int:
-        id_bits = bits_for_identifier(self.n)
-        q_bits = bits_for_value(self.hash.big_q)
-        node_bits = self.hash.node_seed_bits
-        echo_widths = (node_bits, node_bits, node_bits,
-                       self.hash.root_seed_bits - 3 * node_bits)
-        total = 0
-        if round_idx == ROUND_M1:
-            total += field_cost(message, FIELD_PARENT, id_bits)
-            total += field_cost(message, FIELD_DIST, id_bits)
-        for item in sequence_field(message, FIELD_ECHO):
-            # An echo entry (s, a, b, y) is charged root_seed_bits when
-            # well-formed; malformed entries cost 0 (escape lane).
-            if (isinstance(item, tuple) and len(item) == len(echo_widths)
-                    and all(uint_fits(part, width)
-                            for part, width in zip(item, echo_widths))):
-                total += self.hash.root_seed_bits
-        for claim in sequence_field(message, FIELD_CLAIMS):
-            if claim is None:
-                total += 1  # the found/pass bit
-            elif (isinstance(claim, tuple) and len(claim) == 2
-                    and uint_fits(claim[0], 1)
-                    and uint_tuple_fits(claim[1], self.n, id_bits)):
-                total += 2 + self.n * id_bits  # pass + graph bit + σ table
-        for partial in sequence_field(message, FIELD_PARTIALS):
-            if uint_fits(partial, q_bits):
-                total += q_bits
-        return total
-
-    # -- decision ----------------------------------------------------------
-
-    def decide(self, view: LocalView) -> bool:
-        if not tree_check(view, ROUND_M1, GNI_ROOT):
-            return False
-        verified_claims = 0
-        for a_round, m_round in self.round_pairs():
-            count = self._check_batch(view, a_round, m_round)
-            if count is None:
-                return False
-            verified_claims += count
-        if view.node == GNI_ROOT and verified_claims < self.threshold:
-            return False
-        return True
-
-    def _check_batch(self, view: LocalView, a_round: int,
-                     m_round: int) -> Optional[int]:
-        """Verify one batch at this node; None = reject, else the number
-        of claims this node could verify (final hash check root-only)."""
-        reps = self.batch_sizes[self._batch(a_round)]
-        msg = view.own_message(m_round)
-        echo = msg[FIELD_ECHO]
-        claims = msg[FIELD_CLAIMS]
-        partials = msg[FIELD_PARTIALS]
-        if not (isinstance(echo, tuple) and isinstance(claims, tuple)
-                and isinstance(partials, tuple)):
-            return None
-        if not len(echo) == len(claims) == len(partials) == reps:
-            return None
-
-        own_random = view.own_randomness(a_round)
-        if view.node == GNI_ROOT:
-            # The root pins the shared challenge parts to its own coins.
-            for j in range(reps):
-                if tuple(echo[j]) != tuple(own_random[j][1:]):
-                    return None
-
-        n = view.n
-        big_q = self.hash.big_q
-        claimed = 0
-        for j in range(reps):
-            claim = claims[j]
-            if claim is None:
-                continue
-            graph_bit, sigma = claim
-            if graph_bit not in (0, 1):
-                return None
-            if (not isinstance(sigma, tuple)
-                    or sorted(sigma) != list(range(n))):
-                return None  # σ must be a genuine permutation
-            s, a, b, y = echo[j]
-            if not (0 <= s < big_q and 0 <= a < big_q and 0 <= b < big_q
-                    and 0 <= y < self.q):
-                return None
-
-            if graph_bit == 0:
-                row_bits = closed_row_bits(view)
-            else:
-                row_bits = view.node_input
-                if not isinstance(row_bits, int):
-                    return None
-            image_row = image_bits(row_bits, sigma, n)
-            c = own_random[j][0]
-            own_term = self.hash.row_term(s, c, n, sigma[view.node],
-                                          image_row)
-
-            # Aggregation check over the (round-M1) spanning tree.
-            own_value = partials[j]
-            if not isinstance(own_value, int) or not 0 <= own_value < big_q:
-                return None
-            total = own_term
-            for u in view.neighbors:
-                if u == GNI_ROOT:
-                    continue
-                u_msg = view.message_of(ROUND_M1, u)
-                if u_msg.get(FIELD_PARENT) != view.node:
-                    continue
-                child_partial = view.message_of(m_round, u)[FIELD_PARTIALS][j]
-                if (not isinstance(child_partial, int)
-                        or not 0 <= child_partial < big_q):
-                    return None
-                total = (total + child_partial) % big_q
-            if own_value != total:
-                return None
-
-            if view.node == GNI_ROOT:
-                if self.hash.finalize(a, b, own_value) != y:
-                    return None  # a false claim is an immediate reject
-            claimed += 1
-        return claimed
-
-    # -- provers -----------------------------------------------------------
+    def node_terms(self, v: int, row: int, c: int,
+                   tables: Sequence[Tuple[int, ...]], s: int,
+                   seeds: Sequence[int]) -> Dict[str, int]:
+        (sigma,) = tables
+        return {FIELD_PARTIALS: self.hash.row_term(
+            s, c, self.n, sigma[v], image_bits(row, sigma, self.n))}
 
     def honest_prover(self) -> Prover:
         return GoldwasserSipserProver(self)
 
 
-class GoldwasserSipserProver(Prover):
-    """The canonical GS prover — honest on YES instances and *optimal*
-    on NO instances alike: per repetition it claims a witness exactly
-    when one exists (all other behavior is dominated: a false claim is
-    rejected by the root deterministically, and forged aggregates are
-    caught by the tree checks)."""
-
-    def __init__(self, protocol: GNIGoldwasserSipserProtocol) -> None:
-        self.protocol = protocol
-        self._catalog: Optional[Dict[int, Tuple[int, Tuple[int, ...]]]] = None
-        self._advice = None
-        #: Per-repetition success flags of the last execution (for tests).
-        self.last_claim_flags: List[bool] = []
-
-    def reset(self) -> None:
-        self._catalog = None
-        self._advice = None
-        self.last_claim_flags = []
-
-    def _ensure_catalog(self, instance: Instance) -> None:
-        if self._catalog is not None:
-            return
-
-        def build() -> Dict[int, Tuple[int, Tuple[int, ...]]]:
-            g0 = instance.graph
-            n = g0.n
-            edges = []
-            for v in range(n):
-                row = instance.input_of(v)
-                for u in range(v + 1, n):
-                    if (row >> u) & 1:
-                        edges.append((v, u))
-            g1 = Graph(n, edges)
-            return isomorphism_closure_encodings(g0, g1)
-
-        # The 2·n! enumeration is by far the dominant cost; memoized on
-        # the batch context so it is built once per instance, not per
-        # trial.
-        self._catalog = self.acquire_context(instance).memo(
-            "gni.catalog", build)
-
-    def respond(self, instance: Instance, round_idx: int,
-                randomness: Mapping[int, Mapping[int, Tuple]],
-                own_messages: Mapping[int, Mapping[int, NodeMessage]],
-                rng: random.Random) -> Dict[int, NodeMessage]:
-        pair_lookup = {merlin: arthur
-                       for arthur, merlin in self.protocol.round_pairs()}
-        if round_idx not in pair_lookup:
-            raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
-        self._ensure_catalog(instance)
-        protocol = self.protocol
-        graph = instance.graph
-        n = graph.n
-        a_round = pair_lookup[round_idx]
-        reps = protocol.batch_sizes[protocol._batch(a_round)]
-        batch_random = randomness[a_round]
-
-        if self._advice is None:
-            self._advice = self.acquire_context(instance).tree_advice(
-                GNI_ROOT)
-
-        echo = tuple(tuple(batch_random[GNI_ROOT][j][1:])
-                     for j in range(reps))
-        claims: List[Optional[Tuple[int, Tuple[int, ...]]]] = []
-        per_rep_partials: List[Optional[Dict[int, int]]] = []
-        assert self._catalog is not None
-        for j in range(reps):
-            s, a, b, y = echo[j]
-            offsets = tuple(batch_random[v][j][0] for v in range(n))
-            challenge = APIChallenge(s=s, a=a, b=b, y=y, offsets=offsets)
-            encoding = protocol.hash.preimage_exists(
-                challenge, self._catalog.keys())
-            if encoding is None:
-                claims.append(None)
-                per_rep_partials.append(None)
-                self.last_claim_flags.append(False)
-                continue
-            graph_bit, sigma = self._catalog[encoding]
-            claims.append((graph_bit, sigma))
-            self.last_claim_flags.append(True)
-
-            def term(v: int, _sigma=sigma, _bit=graph_bit, _s=s,
-                     _offsets=offsets) -> int:
-                if _bit == 0:
-                    row = graph.closed_row(v)
-                else:
-                    row = instance.input_of(v)
-                image_row = image_bits(row, _sigma, n)
-                return protocol.hash.row_term(_s, _offsets[v], n,
-                                              _sigma[v], image_row)
-
-            per_rep_partials.append(honest_aggregates(
-                graph, self._advice, term, protocol.hash.big_q))
-
-        response: Dict[int, NodeMessage] = {}
-        for v in graph.vertices:
-            partials = tuple(
-                None if per_rep is None else per_rep[v]
-                for per_rep in per_rep_partials)
-            msg: NodeMessage = {
-                FIELD_ECHO: echo,
-                FIELD_CLAIMS: tuple(claims),
-                FIELD_PARTIALS: partials,
-            }
-            if round_idx == ROUND_M1:
-                msg[FIELD_PARENT] = self._advice[v].parent
-                msg[FIELD_DIST] = self._advice[v].dist
-            response[v] = msg
-        return response
-
-
-def per_repetition_success_rate(g0: Graph, g1: Graph,
-                                protocol: GNIGoldwasserSipserProtocol,
-                                samples: int,
-                                rng: random.Random) -> float:
-    """Monte-Carlo estimate of a single repetition's success probability
-    (the chance a random challenge has a preimage in S).
-
-    This is the quantity the analytic bounds of
-    :meth:`GNIGoldwasserSipserProtocol.repetition_bounds` sandwich;
-    the amplified acceptance probability is its exact binomial tail.
-    """
-    catalog = isomorphism_closure_encodings(g0, g1)
-    encodings = list(catalog.keys())
-    hits = 0
-    for _ in range(samples):
-        challenge = protocol.hash.sample_challenge(g0.n, rng)
-        if protocol.hash.preimage_exists(challenge, encodings) is not None:
-            hits += 1
-    return hits / samples
+class GoldwasserSipserProver(GSProver):
+    """The canonical GS prover for ``σ(G_b)`` claims (see
+    :class:`~repro.protocols._gs.GSProver`)."""
 
 
 class GNIDAMProtocol(GNIGoldwasserSipserProtocol):
@@ -512,50 +146,26 @@ class GNIDAMProtocol(GNIGoldwasserSipserProtocol):
     whole protocol collapses to one Arthur round (seeds + targets) and
     one Merlin round (claims + tree + aggregates).  Everything else —
     challenges, analysis, threshold — is inherited unchanged; this
-    class just declares a single batch.  The result is strictly
-    stronger than the paper's statement (dAM ⊆ dAMAM), at identical
-    per-repetition cost; see DESIGN.md for the discussion.
+    class just declares the two-round pattern, which makes the
+    skeleton run a single batch.  The result is strictly stronger than
+    the paper's statement (dAM ⊆ dAMAM), at identical per-repetition
+    cost; see DESIGN.md for the discussion.
     """
 
     name = "gni-dam"
     pattern = "AM"
 
-    def _split_batches(self, repetitions: int) -> Tuple[int, ...]:
-        return (repetitions,)
-
-    def round_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        return ((ROUND_A0, ROUND_M1),)
-
 
 # -- cost declaration -----------------------------------------------------
 
-from ..ledger.declare import CostDeclaration, phase  # noqa: E402
-
-#: The GS repetitions hash n²-bit graph encodings into [q] with
-#: q ~ 4·n!, so every seed, echo and aggregate is Θ(n log n) bits and
-#: σ witness tables are n identifiers — Θ(n log n) per repetition,
-#: with the constant repetition count absorbed into each phase's
-#: fitted leading constant.
 COST_DECLARATIONS = (
-    CostDeclaration(
-        key="gni-damam-8",
-        title="GNI ∈ dAMAM (Goldwasser–Sipser, 8 repetitions)",
-        pattern="AMAM", asymptotic="O(n log n)",
-        reference="Theorem 1.5 / Section 4",
-        phases=(
-            phase("A0", "arthur", "c * n * log2(n)",
-                  "batch-1 eps-API seeds: node offset + root part "
-                  "per repetition"),
-            phase("M1", "merlin", "c * n * log2(n)",
-                  "batch-1 echo, spanning fields, claims (sigma "
-                  "tables) + subtree aggregates"),
-            phase("A2", "arthur", "c * n * log2(n)",
-                  "batch-2 eps-API seeds"),
-            phase("M3", "merlin", "c * n * log2(n)",
-                  "batch-2 echo, claims + aggregates"),
-        ),
-        total=phase("total", "merlin", "c * n * log2(n)",
-                    "Theorem 1.5: O(n log n) bits per node for "
-                    "constant repetitions"),
-    ),
+    gs_cost_declaration(
+        "gni-damam-8", "GNI ∈ dAMAM (Goldwasser–Sipser, 8 repetitions)",
+        "Theorem 1.5 / Section 4",
+        ("batch-1 eps-API seeds: node offset + root part per repetition",
+         "batch-1 echo, spanning fields, claims (sigma tables) + subtree "
+         "aggregates",
+         "batch-2 eps-API seeds",
+         "batch-2 echo, claims + aggregates"),
+        "Theorem 1.5: O(n log n) bits per node for constant repetitions"),
 )

@@ -37,43 +37,31 @@ them out:
   rather than merely < 1/10.
 
 Cost stays Θ(n log n) per repetition: the α and σ tables and the p₂
-hash values are all Θ(n log n)-bit objects.
+hash values are all Θ(n log n)-bit objects.  Everything else — rounds,
+challenges, echo pinning, the aggregate checks and the prover's search
+— is the shared skeleton of :mod:`repro.protocols._gs`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.amplify import choose_threshold, threshold_guarantees
-from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
-                          ProtocolViolation, Prover, PATTERN_DAMAM,
-                          bits_for_identifier, bits_for_value, field_cost,
-                          sequence_field, uint_fits, uint_tuple_fits)
+from ..core.model import LocalView, Prover, bits_for_identifier
 from ..graphs.automorphism import all_automorphisms
 from ..graphs.graph import Graph
-from ..hashing.api import APIChallenge, DistributedAPIHash, gs_output_modulus
 from ..hashing.linear import LinearHashFamily
 from ..hashing.primes import prime_in_range
 from ..hashing.rowmatrix import image_bits
-from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, tree_check)
-from ._tree_hash import closed_row_bits, honest_aggregates
-from .gni import GNIGuarantees
+from ._gs import (FIELD_CLAIMS, FIELD_ECHO, FIELD_PARTIALS,  # noqa: F401
+                  GS_ROOT, GSProtocol, GSProver, ROUND_A0, ROUND_A2,
+                  ROUND_M1, ROUND_M3, gs_cost_declaration)
 
-FIELD_ECHO = "echo"
-FIELD_CLAIMS = "claims"
-FIELD_PARTIALS = "partials"
 FIELD_AUT_LEFT = "aut_left"
 FIELD_AUT_RIGHT = "aut_right"
 
-ROUND_A0 = 0
-ROUND_M1 = 1
-ROUND_A2 = 2
-ROUND_M3 = 3
-
-GNI_ROOT = 0
+GNI_ROOT = GS_ROOT
 
 
 def _alpha_block(alpha: Sequence[int], n: int, id_bits: int) -> int:
@@ -122,28 +110,22 @@ def pair_catalog(g0: Graph, g1: Graph
     return catalog
 
 
-class GeneralGNIProtocol(Protocol):
-    """dAMAM GNI protocol valid for arbitrary (also symmetric) inputs."""
+class GeneralGNIProtocol(GSProtocol):
+    """dAMAM GNI protocol valid for arbitrary (also symmetric) inputs.
+
+    A claim is ``(b, σ, α)``; the seed ``s₂`` of the α-validity hash
+    rides along with each challenge and echo.
+    """
 
     name = "gni-general-damam"
-    pattern = PATTERN_DAMAM
+    claim_tables = 2
+    catalog_key = "gni_general.pair_catalog"
 
     def __init__(self, n: int, repetitions: int = 60,
                  q: Optional[int] = None, big_q: Optional[int] = None,
                  aut_prime: Optional[int] = None,
                  threshold: Optional[int] = None) -> None:
-        if n < 2:
-            raise ValueError("GNI needs at least 2 vertices")
-        if repetitions < 2:
-            raise ValueError("need at least one repetition per batch")
-        self.n = n
         self.id_bits = bits_for_identifier(n)
-        self.set_size_yes = 2 * math.factorial(n)
-        self.q = q if q is not None else gs_output_modulus(self.set_size_yes)
-        # ε-API hash over (matrix, α) encodings.
-        self.encoding_bits = n * n + n * self.id_bits
-        self.hash = DistributedAPIHash(m=self.encoding_bits, q=self.q,
-                                       big_q=big_q)
         # The α-validity hash: Protocol 2's family, widened by 100× so
         # the adaptive cheat probability is negligible (see module doc).
         base = n ** (n + 2)
@@ -151,432 +133,81 @@ class GeneralGNIProtocol(Protocol):
             m=n * n,
             p=aut_prime if aut_prime is not None
             else prime_in_range(1000 * base, 10000 * base))
-        self.batch_sizes = (repetitions - repetitions // 2,
-                            repetitions // 2)
-        p_yes, p_no = self.repetition_bounds()
-        self.threshold = (threshold if threshold is not None
-                          else choose_threshold(repetitions, p_yes, p_no))
-
-    # -- analysis ----------------------------------------------------------
-
-    @property
-    def repetitions(self) -> int:
-        return sum(self.batch_sizes)
+        self.seed_families = (self.aut_family,)
+        # The ε-API hash runs over (matrix, α) encodings.
+        super().__init__(n, repetitions, q, big_q, threshold,
+                         set_size_yes=2 * math.factorial(n),
+                         hash_bits=n * n + n * self.id_bits)
 
     @property
     def aut_cheat_bound(self) -> float:
         """Per-repetition probability of slipping a non-automorphism α
-        past the union-bounded hash check."""
+        past the union-bounded hash check (added to the NO side: a
+        bogus pair must still hit ``h(x) = y``, so this is
+        conservative)."""
         return (self.n ** self.n) * (self.n * self.n) / self.aut_family.p
 
-    def repetition_bounds(self) -> Tuple[float, float]:
-        """As in the base protocol, with the α-cheat slack added to the
-        NO side (a bogus pair must still hit ``h(x) = y``, so this is
-        conservative)."""
-        eps, delta = self.hash.epsilon, self.hash.delta
-        s_yes = self.set_size_yes
-        s_no = s_yes // 2
-        p_yes = (s_yes * (1 - delta) / self.q
-                 - (1 + eps) * s_yes * s_yes / (2 * self.q * self.q))
-        p_no = s_no * (1 + delta) / self.q + self.aut_cheat_bound
-        return p_yes, p_no
+    no_slack = aut_cheat_bound
 
-    def guarantees(self) -> GNIGuarantees:
-        p_yes, p_no = self.repetition_bounds()
-        completeness, soundness = threshold_guarantees(
-            self.repetitions, self.threshold, p_yes, p_no)
-        return GNIGuarantees(
-            p_yes_lower=p_yes, p_no_upper=p_no,
-            repetitions=self.repetitions, threshold=self.threshold,
-            completeness=completeness, soundness_error=soundness)
+    def catalog(self, g0: Graph, g1: Graph
+                ) -> Dict[int, Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+        return pair_catalog(g0, g1)
 
-    # -- model -------------------------------------------------------------
-
-    def validate_instance(self, instance: Instance) -> None:
-        super().validate_instance(instance)
-        if instance.n != self.n:
-            raise ValueError(
-                f"protocol built for n={self.n}, instance has n={instance.n}")
-        if instance.inputs is None:
-            raise ValueError("GNI instances carry G₁ rows as node inputs")
-        for v in instance.graph.vertices:
-            row = instance.input_of(v)
-            if (not isinstance(row, int) or row >> self.n
-                    or not (row >> v) & 1):
-                raise ValueError(
-                    f"node {v} input is not a closed G₁ adjacency row")
-
-    def _batch(self, a_round: int) -> int:
-        return 0 if a_round == ROUND_A0 else 1
-
-    # -- Arthur ----------------------------------------------------------
-
-    def arthur_value(self, instance: Instance, round_idx: int, v: int,
-                     rng: random.Random) -> Tuple[Tuple[int, ...], ...]:
-        """Per repetition: (c_v, s, a, b, y, s₂) — the base challenge
-        plus the α-check seed s₂ (only the root's is used)."""
-        reps = self.batch_sizes[self._batch(round_idx)]
-        values = []
-        for _ in range(reps):
-            c = self.hash.sample_node_offset(rng)
-            s, a, b, y = self.hash.sample_root_part(rng)
-            s2 = self.aut_family.sample_seed(rng)
-            values.append((c, s, a, b, y, s2))
-        return tuple(values)
-
-    def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        reps = self.batch_sizes[self._batch(round_idx)]
-        return reps * (self.hash.node_seed_bits + self.hash.root_seed_bits
-                       + self.aut_family.seed_bits)
-
-    # -- Merlin ----------------------------------------------------------
-
-    def broadcast_fields(self, round_idx: int) -> FrozenSet[str]:
-        return frozenset({FIELD_ECHO, FIELD_CLAIMS})
-
-    def merlin_fields(self, round_idx: int) -> FrozenSet[str]:
-        fields = {FIELD_ECHO, FIELD_CLAIMS, FIELD_PARTIALS,
-                  FIELD_AUT_LEFT, FIELD_AUT_RIGHT}
-        if round_idx == ROUND_M1:
-            fields |= {FIELD_PARENT, FIELD_DIST}
-        return frozenset(fields)
-
-    def merlin_bits(self, instance: Instance, round_idx: int,
-                    message: NodeMessage) -> int:
-        q_bits = bits_for_value(self.hash.big_q)
-        p2_bits = bits_for_value(self.aut_family.p)
-        node_bits = self.hash.node_seed_bits
-        echo_widths = (node_bits, node_bits, node_bits,
-                       self.hash.root_seed_bits - 3 * node_bits,
-                       self.aut_family.seed_bits)
-        total = 0
-        if round_idx == ROUND_M1:
-            total += field_cost(message, FIELD_PARENT, self.id_bits)
-            total += field_cost(message, FIELD_DIST, self.id_bits)
-        for item in sequence_field(message, FIELD_ECHO):
-            # (s, a, b, y, s2): charged only when well-formed.
-            if (isinstance(item, tuple) and len(item) == len(echo_widths)
-                    and all(uint_fits(part, width)
-                            for part, width in zip(item, echo_widths))):
-                total += (self.hash.root_seed_bits
-                          + self.aut_family.seed_bits)
-        for claim in sequence_field(message, FIELD_CLAIMS):
-            if claim is None:
-                total += 1
-            elif (isinstance(claim, tuple) and len(claim) == 3
-                    and uint_fits(claim[0], 1)
-                    and all(uint_tuple_fits(table, self.n, self.id_bits)
-                            for table in claim[1:])):
-                total += 2 + 2 * self.n * self.id_bits  # σ and α tables
-        for partial in sequence_field(message, FIELD_PARTIALS):
-            if uint_fits(partial, q_bits):
-                total += q_bits
-        for field in (FIELD_AUT_LEFT, FIELD_AUT_RIGHT):
-            for value in sequence_field(message, field):
-                if uint_fits(value, p2_bits):
-                    total += p2_bits
-        return total
-
-    # -- decision ----------------------------------------------------------
-
-    def decide(self, view: LocalView) -> bool:
-        if not tree_check(view, ROUND_M1, GNI_ROOT):
-            return False
-        verified = 0
-        for a_round, m_round in ((ROUND_A0, ROUND_M1), (ROUND_A2, ROUND_M3)):
-            count = self._check_batch(view, a_round, m_round)
-            if count is None:
-                return False
-            verified += count
-        if view.node == GNI_ROOT and verified < self.threshold:
-            return False
-        return True
-
-    def _children(self, view: LocalView) -> List[int]:
-        result = []
-        for u in view.neighbors:
-            if u == GNI_ROOT:
-                continue
-            if view.message_of(ROUND_M1, u).get(FIELD_PARENT) == view.node:
-                result.append(u)
-        return result
-
-    def _aggregate_ok(self, view: LocalView, m_round: int, field: str,
-                      rep: int, own_term: int, modulus: int,
-                      children: List[int]) -> Optional[int]:
-        """Check one indexed aggregate; returns the node's value or None."""
-        own_value = view.own_message(m_round)[field][rep]
-        if not isinstance(own_value, int) or not 0 <= own_value < modulus:
-            return None
-        total = own_term % modulus
-        for u in children:
-            child = view.message_of(m_round, u)[field][rep]
-            if not isinstance(child, int) or not 0 <= child < modulus:
-                return None
-            total = (total + child) % modulus
-        return own_value if own_value == total else None
-
-    def _check_batch(self, view: LocalView, a_round: int,
-                     m_round: int) -> Optional[int]:
-        reps = self.batch_sizes[self._batch(a_round)]
-        msg = view.own_message(m_round)
-        echo = msg[FIELD_ECHO]
-        claims = msg[FIELD_CLAIMS]
-        for field in (FIELD_PARTIALS, FIELD_AUT_LEFT, FIELD_AUT_RIGHT):
-            if not isinstance(msg[field], tuple) or len(msg[field]) != reps:
-                return None
-        if not (isinstance(echo, tuple) and isinstance(claims, tuple)):
-            return None
-        if not len(echo) == len(claims) == reps:
-            return None
-
-        own_random = view.own_randomness(a_round)
-        if view.node == GNI_ROOT:
-            for j in range(reps):
-                if tuple(echo[j]) != tuple(own_random[j][1:]):
-                    return None
-
-        n = view.n
-        big_q = self.hash.big_q
+    def aggregates(self) -> Tuple[Tuple[str, int], ...]:
         p2 = self.aut_family.p
-        children = self._children(view)
-        claimed = 0
-        for j in range(reps):
-            claim = claims[j]
-            if claim is None:
-                continue
-            graph_bit, sigma, alpha = claim
-            if graph_bit not in (0, 1):
-                return None
-            for table in (sigma, alpha):
-                if (not isinstance(table, tuple)
-                        or sorted(table) != list(range(n))):
-                    return None
-            s, a, b, y, s2 = echo[j]
-            if not (0 <= s < big_q and 0 <= a < big_q and 0 <= b < big_q
-                    and 0 <= y < self.q and 0 <= s2 < p2):
-                return None
+        return super().aggregates() + ((FIELD_AUT_LEFT, p2),
+                                       (FIELD_AUT_RIGHT, p2))
 
-            if graph_bit == 0:
-                row_bits = closed_row_bits(view)
-            else:
-                row_bits = view.node_input
-                if not isinstance(row_bits, int):
-                    return None
+    def node_terms(self, v: int, row: int, c: int,
+                   tables: Sequence[Tuple[int, ...]], s: int,
+                   seeds: Sequence[int]) -> Dict[str, int]:
+        sigma, alpha = tables
+        (s2,) = seeds
+        n = self.n
+        # (i) ε-API aggregate over the (matrix, α) encoding: the root's
+        # own term also covers the broadcast α block.
+        term = self.hash.row_term(s, c, n, sigma[v],
+                                  image_bits(row, sigma, n))
+        if v == GNI_ROOT:
+            block = _alpha_block(alpha, n, self.id_bits)
+            term = (term + self.hash.inner.hash_bits(s, block)) \
+                % self.hash.big_q
+        # (ii) α ∈ Aut(σ(G_b)) ⟺ τ = σ⁻¹∘α∘σ ∈ Aut(G_b): Protocol 2's
+        # two aggregates over the b-side rows.
+        tau = _compose(_inverse(sigma), _compose(alpha, sigma))
+        family = self.aut_family
+        return {FIELD_PARTIALS: term,
+                FIELD_AUT_LEFT: family.hash_row_matrix(s2, n, v, row),
+                FIELD_AUT_RIGHT: family.hash_row_matrix(
+                    s2, n, tau[v], image_bits(row, tau, n))}
 
-            c = own_random[j][0]
-            # (i) ε-API aggregate over the (matrix, α) encoding: the
-            # root's own term also covers the broadcast α block.
-            image_row = image_bits(row_bits, sigma, n)
-            own_term = self.hash.row_term(s, c, n, sigma[view.node],
-                                          image_row)
-            if view.node == GNI_ROOT:
-                block = _alpha_block(alpha, n, self.id_bits)
-                own_term = (own_term
-                            + self.hash.inner.hash_bits(s, block)) % big_q
-            value = self._aggregate_ok(view, m_round, FIELD_PARTIALS, j,
-                                       own_term, big_q, children)
-            if value is None:
-                return None
-            if view.node == GNI_ROOT \
-                    and self.hash.finalize(a, b, value) != y:
-                return None
-
-            # (ii) α ∈ Aut(σ(G_b)) ⟺ τ = σ⁻¹∘α∘σ ∈ Aut(G_b):
-            # Protocol 2's two aggregates over the b-side rows.
-            sigma_inv = _inverse(sigma)
-            tau = _compose(sigma_inv, _compose(alpha, sigma))
-            left_term = self.aut_family.hash_row_matrix(
-                s2, n, view.node, row_bits)
-            tau_row = image_bits(row_bits, tau, n)
-            right_term = self.aut_family.hash_row_matrix(
-                s2, n, tau[view.node], tau_row)
-            left = self._aggregate_ok(view, m_round, FIELD_AUT_LEFT, j,
-                                      left_term, p2, children)
-            right = self._aggregate_ok(view, m_round, FIELD_AUT_RIGHT, j,
-                                       right_term, p2, children)
-            if left is None or right is None:
-                return None
-            if view.node == GNI_ROOT and left != right:
-                return None
-            claimed += 1
-        return claimed
-
-    # -- provers -----------------------------------------------------------
+    def root_accepts(self, view: LocalView, j: int, values: Dict[str, int],
+                     a: int, b: int, y: int) -> bool:
+        return (super().root_accepts(view, j, values, a, b, y)
+                and values[FIELD_AUT_LEFT] == values[FIELD_AUT_RIGHT])
 
     def honest_prover(self) -> Prover:
         return GeneralGSProver(self)
 
 
-class GeneralGSProver(Prover):
+class GeneralGSProver(GSProver):
     """Honest-and-optimal prover for the compensated protocol: claims a
     pair exactly when one hashes to the target (bogus claims are
     deterministically caught, up to the negligible α-check collision).
     """
 
-    def __init__(self, protocol: GeneralGNIProtocol) -> None:
-        self.protocol = protocol
-        self._catalog = None
-        self._advice = None
-        self.last_claim_flags: List[bool] = []
-
-    def reset(self) -> None:
-        self._catalog = None
-        self._advice = None
-        self.last_claim_flags = []
-
-    def _g1_from_inputs(self, instance: Instance) -> Graph:
-        n = instance.graph.n
-        edges = []
-        for v in range(n):
-            row = instance.input_of(v)
-            for u in range(v + 1, n):
-                if (row >> u) & 1:
-                    edges.append((v, u))
-        return Graph(n, edges)
-
-    def respond(self, instance: Instance, round_idx: int,
-                randomness: Mapping[int, Mapping[int, Tuple]],
-                own_messages: Mapping[int, Mapping[int, NodeMessage]],
-                rng: random.Random) -> Dict[int, NodeMessage]:
-        if round_idx not in (ROUND_M1, ROUND_M3):
-            raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
-        protocol = self.protocol
-        graph = instance.graph
-        n = graph.n
-        ctx = self.acquire_context(instance)
-        if self._catalog is None:
-            # 2·n! pair enumeration — memoized per instance on the
-            # batch context.
-            self._catalog = ctx.memo(
-                "gni_general.pair_catalog",
-                lambda: pair_catalog(graph, self._g1_from_inputs(instance)))
-        if self._advice is None:
-            self._advice = ctx.tree_advice(GNI_ROOT)
-
-        a_round = ROUND_A0 if round_idx == ROUND_M1 else ROUND_A2
-        reps = protocol.batch_sizes[protocol._batch(a_round)]
-        batch_random = randomness[a_round]
-        echo = tuple(tuple(batch_random[GNI_ROOT][j][1:])
-                     for j in range(reps))
-
-        claims = []
-        partials_per_rep = []
-        left_per_rep = []
-        right_per_rep = []
-        for j in range(reps):
-            s, a, b, y, s2 = echo[j]
-            offsets = tuple(batch_random[v][j][0] for v in range(n))
-            challenge = APIChallenge(s=s, a=a, b=b, y=y, offsets=offsets)
-            encoding = protocol.hash.preimage_exists(
-                challenge, self._catalog.keys())
-            if encoding is None:
-                claims.append(None)
-                partials_per_rep.append(None)
-                left_per_rep.append(None)
-                right_per_rep.append(None)
-                self.last_claim_flags.append(False)
-                continue
-            graph_bit, sigma, alpha = self._catalog[encoding]
-            claims.append((graph_bit, sigma, alpha))
-            self.last_claim_flags.append(True)
-
-            def row_of(v: int, _bit=graph_bit) -> int:
-                if _bit == 0:
-                    return graph.closed_row(v)
-                return instance.input_of(v)
-
-            def partial_term(v: int, _sigma=sigma, _alpha=alpha, _s=s,
-                             _offsets=offsets, _row=row_of) -> int:
-                term = protocol.hash.row_term(
-                    _s, _offsets[v], n, _sigma[v],
-                    image_bits(_row(v), _sigma, n))
-                if v == GNI_ROOT:
-                    block = _alpha_block(_alpha, n, protocol.id_bits)
-                    term = (term + protocol.hash.inner.hash_bits(_s, block)) \
-                        % protocol.hash.big_q
-                return term
-
-            sigma_inv = _inverse(sigma)
-            tau = _compose(sigma_inv, _compose(alpha, sigma))
-
-            def left_term(v: int, _s2=s2, _row=row_of) -> int:
-                return protocol.aut_family.hash_row_matrix(
-                    _s2, n, v, _row(v))
-
-            def right_term(v: int, _s2=s2, _tau=tau, _row=row_of) -> int:
-                return protocol.aut_family.hash_row_matrix(
-                    _s2, n, _tau[v], image_bits(_row(v), _tau, n))
-
-            partials_per_rep.append(honest_aggregates(
-                graph, self._advice, partial_term, protocol.hash.big_q))
-            left_per_rep.append(honest_aggregates(
-                graph, self._advice, left_term, protocol.aut_family.p))
-            right_per_rep.append(honest_aggregates(
-                graph, self._advice, right_term, protocol.aut_family.p))
-
-        response: Dict[int, NodeMessage] = {}
-        for v in graph.vertices:
-            msg: NodeMessage = {
-                FIELD_ECHO: echo,
-                FIELD_CLAIMS: tuple(claims),
-                FIELD_PARTIALS: tuple(
-                    None if per is None else per[v]
-                    for per in partials_per_rep),
-                FIELD_AUT_LEFT: tuple(
-                    None if per is None else per[v]
-                    for per in left_per_rep),
-                FIELD_AUT_RIGHT: tuple(
-                    None if per is None else per[v]
-                    for per in right_per_rep),
-            }
-            if round_idx == ROUND_M1:
-                msg[FIELD_PARENT] = self._advice[v].parent
-                msg[FIELD_DIST] = self._advice[v].dist
-            response[v] = msg
-        return response
-
-
-def pair_rate(g0: Graph, g1: Graph, protocol: GeneralGNIProtocol,
-              samples: int, rng: random.Random) -> float:
-    """Monte-Carlo per-repetition success rate for the compensated set."""
-    catalog = pair_catalog(g0, g1)
-    encodings = list(catalog.keys())
-    hits = 0
-    for _ in range(samples):
-        challenge = protocol.hash.sample_challenge(g0.n, rng)
-        if protocol.hash.preimage_exists(challenge, encodings) is not None:
-            hits += 1
-    return hits / samples
-
 
 # -- cost declaration -----------------------------------------------------
-
-from ..ledger.declare import CostDeclaration, phase  # noqa: E402
 
 #: Same GS skeleton as ``gni-damam-8`` plus the automorphism-count
 #: compensation fields (two more Θ(n log n) aggregates per batch) —
 #: the asymptotic phase bill is unchanged.
 COST_DECLARATIONS = (
-    CostDeclaration(
-        key="gni-general-8",
-        title="GNI without asymmetry promise (8 repetitions)",
-        pattern="AMAM", asymptotic="O(n log n)",
-        reference="Section 4 (automorphism-compensated variant)",
-        phases=(
-            phase("A0", "arthur", "c * n * log2(n)",
-                  "batch-1 eps-API seeds"),
-            phase("M1", "merlin", "c * n * log2(n)",
-                  "batch-1 echo, claims, aggregates + automorphism "
-                  "counts"),
-            phase("A2", "arthur", "c * n * log2(n)",
-                  "batch-2 eps-API seeds"),
-            phase("M3", "merlin", "c * n * log2(n)",
-                  "batch-2 echo, claims, aggregates + automorphism "
-                  "counts"),
-        ),
-        total=phase("total", "merlin", "c * n * log2(n)",
-                    "O(n log n) bits per node for constant "
-                    "repetitions"),
-    ),
+    gs_cost_declaration(
+        "gni-general-8", "GNI without asymmetry promise (8 repetitions)",
+        "Section 4 (automorphism-compensated variant)",
+        ("batch-1 eps-API seeds",
+         "batch-1 echo, claims, aggregates + automorphism counts",
+         "batch-2 eps-API seeds",
+         "batch-2 echo, claims, aggregates + automorphism counts")),
 )

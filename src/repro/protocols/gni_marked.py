@@ -42,6 +42,10 @@ promise; unequal counts are always handled correctly).  As in the
 paper's Section 4 we restrict to asymmetric induced subgraphs; the
 compensation of :mod:`repro.protocols.gni_general` composes the same
 way if needed.
+
+On the skeleton of :mod:`repro.protocols._gs` this is a single GS
+batch (A₀/M₁) whose aggregates arrive in M₃, after the distinctness
+challenge; the variant adds the marks, counts, labels and z-test.
 """
 
 from __future__ import annotations
@@ -51,17 +55,16 @@ import math
 import random
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.amplify import choose_threshold, threshold_guarantees
-from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
-                          ProtocolViolation, Prover, PATTERN_DAMAM,
-                          bits_for_identifier, bits_for_value, field_cost,
-                          sequence_field, uint_fits)
+from ..core.model import (Instance, LocalView, NodeMessage,
+                          ProtocolViolation, Prover, bits_for_identifier,
+                          bits_for_value)
 from ..graphs.graph import Graph
-from ..hashing.api import APIChallenge, DistributedAPIHash, gs_output_modulus
 from ..hashing.primes import prime_in_range
-from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, tree_check)
-from ._tree_hash import honest_aggregates
-from .gni import GNIGuarantees
+from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, TreeAdvice,
+                                     children_of, tree_check)
+from ._gs import (FIELD_CLAIMS, FIELD_ECHO, FIELD_PARTIALS, GS_ROOT,
+                  GSProtocol, GSProver, ROUND_A0, ROUND_A2, ROUND_M1,
+                  ROUND_M3, gs_cost_declaration)
 
 MARK_ZERO = 0
 MARK_ONE = 1
@@ -70,19 +73,11 @@ MARK_NONE = 2
 FIELD_MARK = "mark"
 FIELD_COUNT0 = "count0"
 FIELD_COUNT1 = "count1"
-FIELD_CLAIMS = "claims"
 FIELD_LABELS = "labels"
-FIELD_ECHO = "echo"
 FIELD_ZECHO = "zecho"
-FIELD_PARTIALS = "partials"
 FIELD_ZSUMS = "zsums"
 
-ROUND_A0 = 0
-ROUND_M1 = 1
-ROUND_A2 = 2
-ROUND_M3 = 3
-
-ROOT = 0
+ROOT = GS_ROOT
 
 
 def marked_instance(graph: Graph, marks: Mapping[int, int]) -> Instance:
@@ -117,7 +112,11 @@ def relabeled_encoding(sub: Graph, labeling: Sequence[int],
     return bits
 
 
-class MarkedGNIProtocol(Protocol):
+def _marks(instance: Instance) -> Dict[int, int]:
+    return {v: instance.input_of(v) for v in instance.graph.vertices}
+
+
+class MarkedGNIProtocol(GSProtocol):
     """dAMAM protocol for marked-subgraph non-isomorphism.
 
     ``n`` is the network size; ``k`` the declared common size of the
@@ -125,7 +124,7 @@ class MarkedGNIProtocol(Protocol):
     """
 
     name = "gni-marked-damam"
-    pattern = PATTERN_DAMAM
+    claim_tables = 0
 
     def __init__(self, n: int, k: int, repetitions: int = 60,
                  q: Optional[int] = None, big_q: Optional[int] = None,
@@ -135,165 +134,120 @@ class MarkedGNIProtocol(Protocol):
             raise ValueError("need at least 2 network nodes")
         if not 0 <= k <= n:
             raise ValueError("declared size must fit the network")
-        self.n = n
         self.k = k
-        self.set_size_yes = 2 * math.factorial(k)
-        self.q = q if q is not None else gs_output_modulus(self.set_size_yes)
-        # Encodings use stride n, so the hash domain is n² bits.
-        self.hash = DistributedAPIHash(m=n * n, q=self.q, big_q=big_q)
+        # The witness catalog depends on k, a protocol parameter.
+        self.catalog_key = ("gni_marked.catalog", k)
         # The label-distinctness test: degree < n polynomial identity,
         # generous prime so the per-repetition slack is ~1e-6.
         self.z_prime = z_prime if z_prime is not None \
             else prime_in_range(10 * n ** 6, 100 * n ** 6)
-        self.batch_sizes = (repetitions - repetitions // 2,
-                            repetitions // 2)
-        p_yes, p_no = self.repetition_bounds()
-        self.threshold = (threshold if threshold is not None
-                          else choose_threshold(repetitions, p_yes, p_no))
+        # Encodings use stride n, so the hash domain is n² bits.
+        super().__init__(n, repetitions, q, big_q, threshold,
+                         set_size_yes=2 * math.factorial(k),
+                         hash_bits=n * n)
 
-    # -- analysis ----------------------------------------------------------
-
-    @property
-    def repetitions(self) -> int:
-        return sum(self.batch_sizes)
+    def round_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """One GS batch: A₀ draws every repetition's challenge and M₁
+        carries the claims; A₂/M₃ is the distinctness exchange."""
+        return ((ROUND_A0, ROUND_M1),)
 
     @property
     def z_test_slack(self) -> float:
         """Per-repetition probability of a bogus labeling surviving."""
         return self.n / self.z_prime
 
-    def repetition_bounds(self) -> Tuple[float, float]:
-        eps, delta = self.hash.epsilon, self.hash.delta
-        s_yes = self.set_size_yes
-        s_no = s_yes // 2
-        p_yes = (s_yes * (1 - delta) / self.q
-                 - (1 + eps) * s_yes * s_yes / (2 * self.q * self.q))
-        p_no = s_no * (1 + delta) / self.q + self.z_test_slack
-        return p_yes, p_no
+    no_slack = z_test_slack
 
-    def guarantees(self) -> GNIGuarantees:
-        p_yes, p_no = self.repetition_bounds()
-        completeness, soundness = threshold_guarantees(
-            self.repetitions, self.threshold, p_yes, p_no)
-        return GNIGuarantees(
-            p_yes_lower=p_yes, p_no_upper=p_no,
-            repetitions=self.repetitions, threshold=self.threshold,
-            completeness=completeness, soundness_error=soundness)
+    def catalog(self, g0: Graph, g1: Graph
+                ) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
+        """The witness catalog of the two marked subgraphs: encoding ↦
+        (b, labeling), a 2·k! enumeration."""
+        result: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        for b, sub in enumerate((g0, g1)):
+            for labeling in itertools.permutations(range(self.k)):
+                encoding = relabeled_encoding(sub, labeling, self.n)
+                result.setdefault(encoding, (b, labeling))
+        return result
+
+    def instance_graphs(self, instance: Instance) -> Tuple[Graph, Graph]:
+        marks = _marks(instance)
+        return (marked_subgraph(instance.graph, marks, MARK_ZERO)[0],
+                marked_subgraph(instance.graph, marks, MARK_ONE)[0])
+
+    def aggregates(self) -> Tuple[Tuple[str, int], ...]:
+        return super().aggregates() + ((FIELD_ZSUMS, self.z_prime),)
+
+    def marked_terms(self, label: Optional[int], row: int, c: int, s: int,
+                     z: int) -> Dict[str, int]:
+        """A node's terms: its relabeled row and ``z^{π_v}`` inside the
+        claimed side, else just its seed offset and 0."""
+        if label is None:
+            return {FIELD_PARTIALS: c % self.hash.big_q, FIELD_ZSUMS: 0}
+        return {FIELD_PARTIALS: self.hash.row_term(s, c, self.n, label, row),
+                FIELD_ZSUMS: pow(z, label, self.z_prime)}
 
     # -- model -------------------------------------------------------------
 
-    def validate_instance(self, instance: Instance) -> None:
-        super().validate_instance(instance)
-        if instance.n != self.n:
-            raise ValueError(
-                f"protocol built for n={self.n}, instance has n={instance.n}")
+    def _check_inputs(self, instance: Instance) -> None:
         if instance.inputs is None:
             raise ValueError("marked GNI instances carry marks as inputs")
         for v in instance.graph.vertices:
             if instance.input_of(v) not in (MARK_ZERO, MARK_ONE, MARK_NONE):
                 raise ValueError(f"vertex {v} has an invalid mark")
 
-    def _batch(self, a_round: int) -> int:
-        return 0 if a_round == ROUND_A0 else 1
-
     # -- Arthur ----------------------------------------------------------
 
     def arthur_value(self, instance: Instance, round_idx: int, v: int,
                      rng: random.Random):
-        reps = self.batch_sizes[self._batch(round_idx)]
-        if round_idx == ROUND_A0:
-            # GS challenges for both batches are drawn here; the z
-            # challenges come later (they must postdate the labelings).
-            total = self.repetitions
-            return tuple(
-                (self.hash.sample_node_offset(rng),)
-                + self.hash.sample_root_part(rng)
-                for _ in range(total))
-        # A2: one distinctness evaluation point per repetition.
-        return tuple(rng.randrange(self.z_prime)
-                     for _ in range(self.repetitions))
+        if round_idx == ROUND_A2:
+            # One distinctness evaluation point per repetition, drawn
+            # only after the labelings are committed.
+            return tuple(rng.randrange(self.z_prime)
+                         for _ in range(self.repetitions))
+        return super().arthur_value(instance, round_idx, v, rng)
 
     def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        if round_idx == ROUND_A0:
-            return self.repetitions * (self.hash.node_seed_bits
-                                       + self.hash.root_seed_bits)
-        return self.repetitions * bits_for_value(self.z_prime)
+        if round_idx == ROUND_A2:
+            return self.repetitions * bits_for_value(self.z_prime)
+        return super().arthur_bits(instance, round_idx)
 
     # -- Merlin ----------------------------------------------------------
 
     def broadcast_fields(self, round_idx: int) -> FrozenSet[str]:
-        if round_idx == ROUND_M1:
-            return frozenset({FIELD_ECHO, FIELD_CLAIMS})
-        return frozenset({FIELD_ZECHO})
+        if round_idx == ROUND_M3:
+            return frozenset({FIELD_ZECHO})
+        return super().broadcast_fields(round_idx)
 
-    def merlin_fields(self, round_idx: int) -> FrozenSet[str]:
-        if round_idx == ROUND_M1:
-            return frozenset({FIELD_MARK, FIELD_PARENT, FIELD_DIST,
-                              FIELD_COUNT0, FIELD_COUNT1, FIELD_ECHO,
-                              FIELD_CLAIMS, FIELD_LABELS})
-        return frozenset({FIELD_ZECHO, FIELD_PARTIALS, FIELD_ZSUMS})
-
-    def merlin_bits(self, instance: Instance, round_idx: int,
-                    message: NodeMessage) -> int:
-        id_bits = bits_for_identifier(self.n)
+    def scalar_widths(self, round_idx: int) -> Tuple[Tuple[str, int], ...]:
+        if round_idx != ROUND_M1:
+            return ()
         count_bits = bits_for_identifier(self.n + 1)
-        total = 0
+        return super().scalar_widths(round_idx) + (
+            (FIELD_MARK, 2), (FIELD_COUNT0, count_bits),
+            (FIELD_COUNT1, count_bits))
+
+    def indexed_widths(self, round_idx: int) -> Tuple[Tuple[str, int], ...]:
         if round_idx == ROUND_M1:
-            node_bits = self.hash.node_seed_bits
-            echo_widths = (node_bits, node_bits, node_bits,
-                           self.hash.root_seed_bits - 3 * node_bits)
-            total += field_cost(message, FIELD_MARK, 2)
-            total += field_cost(message, FIELD_PARENT, id_bits)
-            total += field_cost(message, FIELD_DIST, id_bits)
-            total += field_cost(message, FIELD_COUNT0, count_bits)
-            total += field_cost(message, FIELD_COUNT1, count_bits)
-            for item in sequence_field(message, FIELD_ECHO):
-                # (s, a, b, y): charged only when well-formed.
-                if (isinstance(item, tuple)
-                        and len(item) == len(echo_widths)
-                        and all(uint_fits(part, width)
-                                for part, width in zip(item, echo_widths))):
-                    total += self.hash.root_seed_bits
-            for claim in sequence_field(message, FIELD_CLAIMS):
-                if claim is None:
-                    total += 1
-                elif (isinstance(claim, tuple) and len(claim) == 1
-                        and uint_fits(claim[0], 1)):
-                    total += 2  # pass bit + the graph bit
-            for label in sequence_field(message, FIELD_LABELS):
-                if uint_fits(label, id_bits):
-                    total += id_bits
-        else:
-            q_bits = bits_for_value(self.hash.big_q)
-            z_bits = bits_for_value(self.z_prime)
-            for zvalue in sequence_field(message, FIELD_ZECHO):
-                if uint_fits(zvalue, z_bits):
-                    total += z_bits
-            for partial in sequence_field(message, FIELD_PARTIALS):
-                if uint_fits(partial, q_bits):
-                    total += q_bits
-            for zsum in sequence_field(message, FIELD_ZSUMS):
-                if uint_fits(zsum, z_bits):
-                    total += z_bits
-        return total
+            return ((FIELD_LABELS, bits_for_identifier(self.n)),)
+        return ((FIELD_ZECHO, bits_for_value(self.z_prime)),) \
+            + super().indexed_widths(round_idx)
 
     # -- decision ----------------------------------------------------------
 
     def decide(self, view: LocalView) -> bool:
-        m1 = view.own_message(ROUND_M1)
         # Self-verified mark: a prover that misstates any node's mark
         # loses that node immediately, so neighbors may trust marks.
-        if m1[FIELD_MARK] != view.node_input:
+        if view.own_message(ROUND_M1)[FIELD_MARK] != view.node_input:
             return False
         if not tree_check(view, ROUND_M1, ROOT):
             return False
 
-        children = self._children(view)
+        children = children_of(view, ROUND_M1, ROOT)
         counts = self._check_counts(view, children)
         if counts is None:
             return False
 
-        verified = self._check_claims(view, children)
+        verified = self._check_batch(view, ROUND_A0, ROUND_M1, children)
         if verified is None:
             return False
 
@@ -306,15 +260,6 @@ class MarkedGNIProtocol(Protocol):
             if verified < self.threshold:
                 return False
         return True
-
-    def _children(self, view: LocalView) -> List[int]:
-        result = []
-        for u in view.neighbors:
-            if u == ROOT:
-                continue
-            if view.message_of(ROUND_M1, u).get(FIELD_PARENT) == view.node:
-                result.append(u)
-        return result
 
     def _check_counts(self, view: LocalView,
                       children: List[int]) -> Optional[Tuple[int, int]]:
@@ -337,108 +282,52 @@ class MarkedGNIProtocol(Protocol):
             totals.append(own)
         return (totals[0], totals[1])
 
-    def _check_claims(self, view: LocalView,
-                      children: List[int]) -> Optional[int]:
-        m1 = view.own_message(ROUND_M1)
-        m3 = view.own_message(ROUND_M3)
-        reps = self.repetitions
-        echo = m1[FIELD_ECHO]
-        claims = m1[FIELD_CLAIMS]
-        labels = m1[FIELD_LABELS]
-        zecho = m3[FIELD_ZECHO]
-        partials = m3[FIELD_PARTIALS]
-        zsums = m3[FIELD_ZSUMS]
-        for seq in (echo, claims, labels, zecho, partials, zsums):
-            if not isinstance(seq, tuple) or len(seq) != reps:
-                return None
+    def _sum_round(self, m_round: int) -> int:
+        return ROUND_M3
 
-        own_random0 = view.own_randomness(ROUND_A0)
-        own_random2 = view.own_randomness(ROUND_A2)
-        if view.node == ROOT:
-            for j in range(reps):
-                if tuple(echo[j]) != tuple(own_random0[j][1:]):
-                    return None
-                if zecho[j] != own_random2[j]:
-                    return None
+    def _root_pinned(self, view: LocalView, echo: Tuple, own_random: Tuple,
+                     reps: int) -> bool:
+        # The root also pins the echoed distinctness points.
+        return (super()._root_pinned(view, echo, own_random, reps)
+                and view.own_message(ROUND_M3)[FIELD_ZECHO]
+                == view.own_randomness(ROUND_A2))
 
+    def claim_terms(self, view: LocalView, j: int, graph_bit: int,
+                    tables: Sequence, s: int, seeds: Sequence[int],
+                    c: int) -> Optional[Dict[str, int]]:
         n = view.n
-        big_q = self.hash.big_q
-        p_z = self.z_prime
-        verified = 0
-        for j in range(reps):
-            claim = claims[j]
-            if claim is None:
-                continue
-            (graph_bit,) = claim
-            if graph_bit not in (0, 1):
+        z = view.own_message(ROUND_M3)[FIELD_ZECHO][j]
+        if not 0 <= z < self.z_prime:
+            return None
+        own_label = view.own_message(ROUND_M1)[FIELD_LABELS][j]
+        if view.node_input != graph_bit:
+            # Outside the claimed side: no label, just the seed offset.
+            if own_label is not None:
                 return None
-            s, a, b, y = echo[j]
-            z = zecho[j]
-            if not (0 <= s < big_q and 0 <= a < big_q and 0 <= b < big_q
-                    and 0 <= y < self.q and 0 <= z < p_z):
-                return None
-
-            in_side = view.node_input == graph_bit
-            own_label = labels[j]
-            if in_side:
-                if not isinstance(own_label, int) \
-                        or not 0 <= own_label < n:
+            return self.marked_terms(None, 0, c, s, z)
+        if not isinstance(own_label, int) or not 0 <= own_label < n:
+            return None
+        # Our row of the relabeled subgraph σ(H_b), from the neighbors'
+        # labels and verified marks.
+        row = 1 << own_label
+        for u in view.neighbors:
+            u_m1 = view.message_of(ROUND_M1, u)
+            if u_m1.get(FIELD_MARK) == graph_bit:
+                u_label = u_m1[FIELD_LABELS][j]
+                if not isinstance(u_label, int) or not 0 <= u_label < n:
                     return None
-            elif own_label is not None:
-                return None
+                row |= 1 << u_label
+        return self.marked_terms(own_label, row, c, s, z)
 
-            # Own ε-API term: the relabeled row if we are in the
-            # subgraph, else just our seed offset.
-            c = own_random0[j][0]
-            if in_side:
-                row = 1 << own_label
-                for u in view.neighbors:
-                    u_m1 = view.message_of(ROUND_M1, u)
-                    if u_m1.get(FIELD_MARK) == graph_bit:
-                        u_label = u_m1[FIELD_LABELS][j]
-                        if not isinstance(u_label, int) \
-                                or not 0 <= u_label < n:
-                            return None
-                        row |= 1 << u_label
-                own_term = self.hash.row_term(s, c, n, own_label, row)
-            else:
-                own_term = c % big_q
-
-            own_partial = partials[j]
-            if not isinstance(own_partial, int) \
-                    or not 0 <= own_partial < big_q:
-                return None
-            total = own_term
-            for u in children:
-                child = view.message_of(ROUND_M3, u)[FIELD_PARTIALS][j]
-                if not isinstance(child, int) or not 0 <= child < big_q:
-                    return None
-                total = (total + child) % big_q
-            if own_partial != total:
-                return None
-
-            # Distinctness aggregate: Σ z^{π_v} over marked-b vertices.
-            own_zsum = zsums[j]
-            if not isinstance(own_zsum, int) or not 0 <= own_zsum < p_z:
-                return None
-            z_total = pow(z, own_label, p_z) if in_side else 0
-            for u in children:
-                child = view.message_of(ROUND_M3, u)[FIELD_ZSUMS][j]
-                if not isinstance(child, int) or not 0 <= child < p_z:
-                    return None
-                z_total = (z_total + child) % p_z
-            if own_zsum != z_total:
-                return None
-
-            if view.node == ROOT:
-                if self.hash.finalize(a, b, own_partial) != y:
-                    return None
-                target = sum(pow(z, i, p_z)
-                             for i in range(self.k)) % p_z
-                if own_zsum != target:
-                    return None
-            verified += 1
-        return verified
+    def root_accepts(self, view: LocalView, j: int, values: Dict[str, int],
+                     a: int, b: int, y: int) -> bool:
+        # Distinctness: Σ_{marked b} z^{π_v} = Σ_{i<k} z^i iff the
+        # labels are exactly {0..k-1}.
+        z = view.own_message(ROUND_M3)[FIELD_ZECHO][j]
+        target = sum(pow(z, i, self.z_prime)
+                     for i in range(self.k)) % self.z_prime
+        return (super().root_accepts(view, j, values, a, b, y)
+                and values[FIELD_ZSUMS] == target)
 
     # -- provers -----------------------------------------------------------
 
@@ -446,205 +335,130 @@ class MarkedGNIProtocol(Protocol):
         return MarkedGSProver(self)
 
 
-class MarkedGSProver(Prover):
+def _subtree_counts(graph: Graph, marks: Mapping[int, int],
+                    advice: Mapping[int, TreeAdvice]
+                    ) -> Dict[int, Tuple[int, int]]:
+    """Per node, the number of 0- and 1-marked vertices in its subtree."""
+    acc = {v: [1 if marks[v] == MARK_ZERO else 0,
+               1 if marks[v] == MARK_ONE else 0]
+           for v in graph.vertices}
+    order = sorted(graph.vertices, key=lambda v: advice[v].dist,
+                   reverse=True)
+    for v in order:
+        parent = advice[v].parent
+        if parent != v:
+            acc[parent][0] += acc[v][0]
+            acc[parent][1] += acc[v][1]
+    return {v: (c[0], c[1]) for v, c in acc.items()}
+
+
+class MarkedGSProver(GSProver):
     """Honest-and-optimal prover for the marked protocol."""
 
-    def __init__(self, protocol: MarkedGNIProtocol) -> None:
-        self.protocol = protocol
-        self._state = None
-        self.last_claim_flags: List[bool] = []
+    _state: Optional[tuple] = None
 
     def reset(self) -> None:
+        super().reset()
         self._state = None
-        self.last_claim_flags = []
-
-    def _prepare(self, instance: Instance,
-                 randomness: Mapping[int, Mapping[int, tuple]]) -> None:
-        """Everything M₁ needs, plus the per-repetition witnesses."""
-        protocol = self.protocol
-        graph = instance.graph
-        n = graph.n
-        ctx = self.acquire_context(instance)
-        marks = {v: instance.input_of(v) for v in graph.vertices}
-        advice = ctx.tree_advice(ROOT)
-
-        sub0, verts0 = marked_subgraph(graph, marks, MARK_ZERO)
-        sub1, verts1 = marked_subgraph(graph, marks, MARK_ONE)
-        sides = ((sub0, verts0), (sub1, verts1))
-
-        reps = protocol.repetitions
-        batch0 = randomness[ROUND_A0]
-        echo = tuple(tuple(batch0[ROOT][j][1:]) for j in range(reps))
-
-        claims: List[Optional[Tuple[int]]] = [None] * reps
-        labelings: List[Optional[Dict[int, int]]] = [None] * reps
-        if sub0.n == sub1.n and sub0.n == protocol.k:
-            k = protocol.k
-
-            def build_catalog() -> Dict[int, Tuple[int, Tuple[int, ...]]]:
-                # The witness catalog (encoding -> (b, labeling)): a
-                # 2·k! enumeration, memoized per instance on the batch
-                # context (the key carries k — a protocol parameter).
-                result: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-                for b, (sub, _verts) in enumerate(sides):
-                    for labeling in itertools.permutations(range(k)):
-                        encoding = relabeled_encoding(sub, labeling, n)
-                        result.setdefault(encoding, (b, labeling))
-                return result
-
-            catalog = ctx.memo(("gni_marked.catalog", k), build_catalog)
-            for j in range(reps):
-                s, a, b_aff, y = echo[j]
-                offsets = tuple(batch0[v][j][0] for v in range(n))
-                challenge = APIChallenge(s=s, a=a, b=b_aff, y=y,
-                                         offsets=offsets)
-                encoding = protocol.hash.preimage_exists(
-                    challenge, catalog.keys())
-                if encoding is None:
-                    self.last_claim_flags.append(False)
-                    continue
-                graph_bit, labeling = catalog[encoding]
-                claims[j] = (graph_bit,)
-                _sub, verts = sides[graph_bit]
-                labelings[j] = {verts[i]: labeling[i]
-                                for i in range(len(verts))}
-                self.last_claim_flags.append(True)
-        else:
-            self.last_claim_flags = [False] * reps
-
-        def build_counts() -> Dict[int, Tuple[int, int]]:
-            acc = {v: [1 if marks[v] == MARK_ZERO else 0,
-                       1 if marks[v] == MARK_ONE else 0]
-                   for v in graph.vertices}
-            order = sorted(graph.vertices, key=lambda v: advice[v].dist,
-                           reverse=True)
-            for v in order:
-                parent = advice[v].parent
-                if parent != v:
-                    acc[parent][0] += acc[v][0]
-                    acc[parent][1] += acc[v][1]
-            return {v: (c[0], c[1]) for v, c in acc.items()}
-
-        counts = ctx.memo("gni_marked.counts", build_counts)
-
-        self._state = {
-            "marks": marks, "advice": advice, "echo": echo,
-            "claims": claims, "labelings": labelings, "counts": counts,
-        }
 
     def respond(self, instance: Instance, round_idx: int,
                 randomness: Mapping[int, Mapping[int, tuple]],
                 own_messages: Mapping[int, Mapping[int, NodeMessage]],
                 rng: random.Random) -> Dict[int, NodeMessage]:
-        protocol = self.protocol
-        graph = instance.graph
-        n = graph.n
         if round_idx == ROUND_M1:
-            self._prepare(instance, randomness)
-            state = self._state
-            reps = protocol.repetitions
-            response = {}
-            for v in graph.vertices:
-                labels = tuple(
-                    state["labelings"][j][v]
-                    if (state["labelings"][j] is not None
-                        and v in state["labelings"][j]) else None
-                    for j in range(reps))
-                response[v] = {
-                    FIELD_MARK: state["marks"][v],
-                    FIELD_PARENT: state["advice"][v].parent,
-                    FIELD_DIST: state["advice"][v].dist,
-                    FIELD_COUNT0: state["counts"][v][0],
-                    FIELD_COUNT1: state["counts"][v][1],
-                    FIELD_ECHO: state["echo"],
-                    FIELD_CLAIMS: tuple(state["claims"]),
-                    FIELD_LABELS: labels,
-                }
-            return response
-
+            return self._commit(instance, randomness)
         if round_idx != ROUND_M3:
             raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
-        state = self._state
-        assert state is not None
+        return self._sums(instance, randomness)
+
+    def _commit(self, instance: Instance,
+                randomness: Mapping[int, Mapping[int, tuple]]
+                ) -> Dict[int, NodeMessage]:
+        """M₁: marks, tree, counts, and per repetition a claim ``(b,)``
+        with each claimed-side node's label."""
+        protocol = self.protocol
+        graph = instance.graph
+        ctx = self.acquire_context(instance)
+        marks = _marks(instance)
+        advice = self._advice = ctx.tree_advice(ROOT)
+        sides = (marked_subgraph(graph, marks, MARK_ZERO),
+                 marked_subgraph(graph, marks, MARK_ONE))
         reps = protocol.repetitions
         batch0 = randomness[ROUND_A0]
+        echo = self._echo(batch0, reps)
+        labelings: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * reps
+        if sides[0][0].n == sides[1][0].n == protocol.k:
+            found = self._witnesses(self._catalog(instance), echo, batch0,
+                                    graph.n)
+            for j, witness in enumerate(found):
+                if witness is not None:
+                    graph_bit, labeling = witness
+                    labelings[j] = (graph_bit,
+                                    dict(zip(sides[graph_bit][1], labeling)))
+        else:
+            self.last_claim_flags = [False] * reps
+        counts = ctx.memo("gni_marked.counts",
+                          lambda: _subtree_counts(graph, marks, advice))
+        self._state = (marks, echo, labelings)
+        claims = tuple(None if claimed is None else (claimed[0],)
+                       for claimed in labelings)
+        return {v: {
+            FIELD_MARK: marks[v],
+            FIELD_PARENT: advice[v].parent,
+            FIELD_DIST: advice[v].dist,
+            FIELD_COUNT0: counts[v][0],
+            FIELD_COUNT1: counts[v][1],
+            FIELD_ECHO: echo,
+            FIELD_CLAIMS: claims,
+            FIELD_LABELS: tuple(None if claimed is None
+                                else claimed[1].get(v)
+                                for claimed in labelings),
+        } for v in graph.vertices}
+
+    def _sums(self, instance: Instance,
+              randomness: Mapping[int, Mapping[int, tuple]]
+              ) -> Dict[int, NodeMessage]:
+        """M₃: the echoed z points and, per claimed repetition, the
+        ε-API and distinctness aggregates."""
+        protocol = self.protocol
+        graph = instance.graph
+        marks, echo, labelings = self._state
+        batch0 = randomness[ROUND_A0]
         z_values = randomness[ROUND_A2][ROOT]
-
-        partials_per_rep: List[Optional[Dict[int, int]]] = []
-        zsums_per_rep: List[Optional[Dict[int, int]]] = []
-        for j in range(reps):
-            claim = state["claims"][j]
-            if claim is None:
-                partials_per_rep.append(None)
-                zsums_per_rep.append(None)
+        sums: List[Optional[Dict[str, Dict[int, int]]]] = []
+        for j, claimed in enumerate(labelings):
+            if claimed is None:
+                sums.append(None)
                 continue
-            (graph_bit,) = claim
-            labeling = state["labelings"][j]
-            s = state["echo"][j][0]
-            z = z_values[j]
-            marks = state["marks"]
-
-            def term(v: int, _s=s, _bit=graph_bit, _labeling=labeling,
-                     _marks=marks) -> int:
+            graph_bit, labels = claimed
+            s, z = echo[j][0], z_values[j]
+            terms = {}
+            for v in graph.vertices:
                 c = batch0[v][j][0]
-                if _marks[v] != _bit:
-                    return c % protocol.hash.big_q
-                row = 1 << _labeling[v]
+                if marks[v] != graph_bit:
+                    terms[v] = protocol.marked_terms(None, 0, c, s, z)
+                    continue
+                row = 1 << labels[v]
                 for u in graph.neighbors(v):
-                    if _marks[u] == _bit:
-                        row |= 1 << _labeling[u]
-                return protocol.hash.row_term(_s, c, n, _labeling[v], row)
-
-            def zterm(v: int, _z=z, _bit=graph_bit, _labeling=labeling,
-                      _marks=marks) -> int:
-                if _marks[v] != _bit:
-                    return 0
-                return pow(_z, _labeling[v], protocol.z_prime)
-
-            partials_per_rep.append(honest_aggregates(
-                graph, state["advice"], term, protocol.hash.big_q))
-            zsums_per_rep.append(honest_aggregates(
-                graph, state["advice"], zterm, protocol.z_prime))
-
-        response = {}
-        for v in graph.vertices:
-            response[v] = {
-                FIELD_ZECHO: tuple(z_values),
-                FIELD_PARTIALS: tuple(
-                    None if per is None else per[v]
-                    for per in partials_per_rep),
-                FIELD_ZSUMS: tuple(
-                    None if per is None else per[v]
-                    for per in zsums_per_rep),
-            }
-        return response
+                    if marks[u] == graph_bit:
+                        row |= 1 << labels[u]
+                terms[v] = protocol.marked_terms(labels[v], row, c, s, z)
+            sums.append(self._aggregates(graph, terms))
+        return {v: {FIELD_ZECHO: tuple(z_values), **self._indexed(sums, v)}
+                for v in graph.vertices}
 
 
 # -- cost declaration -----------------------------------------------------
-
-from ..ledger.declare import CostDeclaration, phase  # noqa: E402
 
 #: The marked-graph variant adds per-node mark/count fields
 #: (identifier-width) to the GS skeleton; every phase stays
 #: Θ(n log n) for constant repetitions.
 COST_DECLARATIONS = (
-    CostDeclaration(
-        key="gni-marked-8",
-        title="GNI on marked graphs (8 repetitions)",
-        pattern="AMAM", asymptotic="O(n log n)",
-        reference="Section 4 (marked-graph reduction)",
-        phases=(
-            phase("A0", "arthur", "c * n * log2(n)",
-                  "batch-1 eps-API seeds"),
-            phase("M1", "merlin", "c * n * log2(n)",
-                  "batch-1 echo, marks/counts, claims + aggregates"),
-            phase("A2", "arthur", "c * n * log2(n)",
-                  "batch-2 eps-API seeds"),
-            phase("M3", "merlin", "c * n * log2(n)",
-                  "batch-2 echo, claims + aggregates"),
-        ),
-        total=phase("total", "merlin", "c * n * log2(n)",
-                    "O(n log n) bits per node for constant "
-                    "repetitions"),
-    ),
+    gs_cost_declaration(
+        "gni-marked-8", "GNI on marked graphs (8 repetitions)",
+        "Section 4 (marked-graph reduction)",
+        ("batch-1 eps-API seeds",
+         "batch-1 echo, marks/counts, claims + aggregates",
+         "batch-2 eps-API seeds",
+         "batch-2 echo, claims + aggregates")),
 )

@@ -5,7 +5,8 @@ import json
 from repro.fleet import (diff_stores, fleet_status, merge_shards,
                          orphaned_keys, partition, plan_tasks,
                          run_fleet, scan_leases, spec_tasks)
-from repro.fleet.leases import EV_CLAIM, EV_DONE, append_lease
+from repro.fleet.leases import EV_CLAIM, EV_DONE, append_lease, leases_path
+from repro.fleet.worker import SimulatedCrash
 from repro.lab import ResultStore, run_spec
 from repro.lab.spec import ExperimentSpec
 from repro.lab.store import DETERMINISTIC_FIELDS, record_key
@@ -145,6 +146,59 @@ class TestFaultInjection:
         assert leases["orphaned"] == []
         # The kill left one extra claim behind (the orphaned attempt).
         assert leases["claims"] == 7
+
+
+class TestTornRecords:
+    """Records torn by a crash mid-append are skipped on read, and the
+    next append starts on its own line."""
+
+    def test_status_survives_truncated_lease_log(self, tmp_path, capsys):
+        from repro.__main__ import main
+        argv = ["--spec", "E6-order-dmam", "--store", str(tmp_path)]
+        assert main(["fleet", "run", "--shards", "2", "--quick"]
+                    + argv) == 0
+        path = leases_path(tmp_path)
+        lines = path.read_text().splitlines()
+        # The final ``done`` was cut short: its cell reads as in flight.
+        path.write_text("\n".join(lines[:-1] + [lines[-1][:25]]))
+        capsys.readouterr()
+        assert main(["fleet", "status", "--json"] + argv) == 0
+        leases = json.loads(capsys.readouterr().out)["leases"]
+        assert leases["events"] == len(lines) - 1
+        assert len(leases["orphaned"]) == 1
+        # A re-acknowledgement lands on its own line and clears it.
+        last = json.loads(lines[-1])
+        append_lease(tmp_path, EV_DONE, last["spec"], last["key"],
+                     last["shard"], 1)
+        assert orphaned_keys(scan_leases(tmp_path)) == []
+        assert len(path.read_text().splitlines()) == len(lines) + 1
+
+    def test_shard_killed_inside_append_cell(self, tmp_path, monkeypatch):
+        expected, serial = _serial_cells(tmp_path)
+        killed = tmp_path / "killed"
+        append_cell = ResultStore.append_cell
+
+        def dying_append(self, spec, record):
+            # The first append of shard 1 dies half-way through its
+            # line, as SIGKILL mid-write would leave it.
+            if self.root.name == "shard-001" and not killed.exists():
+                killed.touch()
+                self.root.mkdir(parents=True, exist_ok=True)
+                line = json.dumps(record, sort_keys=True, default=str)
+                with self.spec_path(spec).open("a") as handle:
+                    handle.write(line[:len(line) // 2])
+                raise SimulatedCrash("shard 1 killed inside append_cell")
+            append_cell(self, spec, record)
+
+        monkeypatch.setattr(ResultStore, "append_cell", dying_append)
+        store = ResultStore(tmp_path / "torn")
+        summary = run_fleet([SPEC], store, 2, backoff=0.01)
+        assert summary["ok"]
+        assert summary["waves"][0]["failed"] == [1]
+        got = {key: _project(record)
+               for key, record in store.load_cells(SPEC).items()}
+        assert got == expected
+        assert diff_stores([SPEC], serial, store)["ok"]
 
 
 class TestCLI:

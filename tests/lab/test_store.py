@@ -1,12 +1,12 @@
-"""Result store: append/replay semantics, resume, table recording."""
+"""Result store: append/replay semantics, resume, torn tails."""
 
 import json
 
 import pytest
 
-from repro.lab import (ResultStore, TableRecorder, cell_key, get_spec,
-                       run_spec)
+from repro.lab import ResultStore, cell_key, get_spec, run_spec
 from repro.lab.runner import compute_cell, spec_cells
+from repro.lab.store import DETERMINISTIC_FIELDS
 
 # The cheapest real sweep spec: one 6-vertex cell per grid.
 SPEC = get_spec("E6-order-dmam")
@@ -88,32 +88,34 @@ class TestResume:
             assert fresh[field] == stored[field]
 
 
-class TestTableRecorder:
-    def test_report_and_flush(self, tmp_path):
-        json_path = tmp_path / "BENCH.json"
-        recorder = TableRecorder(json_path=json_path,
-                                 store=ResultStore(tmp_path / "store"))
-        rendered = recorder.report(None, "T", ("a", "b"), [(1, 2)])
-        assert "=== T ===" in rendered and "1" in rendered
-        recorder.flush()
-        payload = json.loads(json_path.read_text())
-        assert payload["tables"] == [
-            {"title": "T", "header": ["a", "b"], "rows": [[1, 2]]}]
-        tables = recorder.store.load_tables()
-        assert tables[0]["kind"] == "table"
-        assert tables[0]["rows"] == [[1, 2]]
+class TestTornTail:
+    """A record cut short mid-append (SIGKILL, a full disk) must not
+    break resume: it is skipped on read and only its cell recomputed."""
 
-    def test_flush_without_tables_is_noop(self, tmp_path):
-        json_path = tmp_path / "BENCH.json"
-        TableRecorder(json_path=json_path,
-                      store=ResultStore(tmp_path / "store")).flush()
-        assert not json_path.exists()
+    def test_lab_run_resumes_past_truncated_tail(self, tmp_path, capsys):
+        from repro.__main__ import main
+        spec = get_spec("E1-lcp-baseline")
+        argv = ["lab", "run", "--quick", "--spec", spec.name,
+                "--store", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        store = ResultStore(tmp_path)
+        expected = {key: {f: r[f] for f in DETERMINISTIC_FIELDS}
+                    for key, r in store.load_cells(spec).items()}
+        path = store.spec_path(spec)
+        lines = path.read_text().splitlines()
+        torn = lines[-1][:len(lines[-1]) // 2]
+        path.write_text("\n".join(lines[:-1] + [torn]))
+        assert len(store.load_cells(spec)) == len(lines) - 1
 
-    def test_report_attaches_extra_info(self, tmp_path):
-        class FakeBenchmark:
-            extra_info = {}
-
-        recorder = TableRecorder(store=ResultStore(tmp_path))
-        bench = FakeBenchmark()
-        recorder.report(bench, "T", ("a",), [(1,)])
-        assert bench.extra_info["table"]["title"] == "T"
+        capsys.readouterr()
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["ran"], summary["skipped"]) == (1, len(lines) - 1)
+        got = {key: {f: r[f] for f in DETERMINISTIC_FIELDS}
+               for key, r in store.load_cells(spec).items()}
+        assert got == expected
+        # Append-only: the fragment stays, the recomputed record
+        # starts on its own line.
+        after = path.read_text().splitlines()
+        assert after[:-1] == lines[:-1] + [torn]
+        assert json.loads(after[-1])["n"] == json.loads(lines[-1])["n"]

@@ -2,7 +2,6 @@
 
 import json
 
-from repro.lab import ResultStore
 from repro.obs import BenchRecorder, bench_summary_name, session
 
 
@@ -18,8 +17,7 @@ class TestSummaryName:
 
 class TestBenchRecorder:
     def _recorder(self, tmp_path):
-        return BenchRecorder(tmp_path / "bench",
-                             store=ResultStore(tmp_path / "store"))
+        return BenchRecorder(tmp_path / "bench")
 
     def test_report_renders_and_attaches(self, tmp_path):
         recorder = self._recorder(tmp_path)
@@ -44,9 +42,6 @@ class TestBenchRecorder:
         one = json.loads((tmp_path / "bench/BENCH_one.json").read_text())
         assert [t["title"] for t in one["tables"]] == ["t1", "t3"]
         assert one["recorder"] == "repro.obs"
-        # The store's table channel received everything.
-        tables = recorder.store.load_tables()
-        assert sorted(t["title"] for t in tables) == ["t1", "t2", "t3"]
 
     def test_flush_snapshots_active_session_metrics(self, tmp_path):
         recorder = self._recorder(tmp_path)
@@ -61,13 +56,3 @@ class TestBenchRecorder:
     def test_flush_without_tables_is_noop(self, tmp_path):
         recorder = self._recorder(tmp_path)
         assert recorder.flush() == []
-
-    def test_legacy_aggregate(self, tmp_path):
-        aggregate = tmp_path / "BENCH_all.json"
-        recorder = BenchRecorder(tmp_path / "bench",
-                                 store=ResultStore(tmp_path / "store"),
-                                 aggregate=aggregate)
-        recorder.report("bench_one", None, "t", ("x",), [(1,)])
-        written = recorder.flush()
-        assert aggregate in written
-        assert json.loads(aggregate.read_text())["tables"]

@@ -11,7 +11,7 @@ from repro.graphs import (complete_bipartite_graph, complete_graph,
                           cycle_graph, path_graph, star_graph)
 from repro.protocols import (GeneralGNIProtocol, GNIGoldwasserSipserProtocol,
                              gni_instance, isomorphism_closure_encodings,
-                             pair_catalog, pair_rate)
+                             pair_catalog, per_repetition_success_rate)
 from repro.protocols.gni_general import (FIELD_AUT_LEFT, FIELD_CLAIMS,
                                          ROUND_M1, _alpha_block, _compose,
                                          _inverse)
@@ -109,11 +109,11 @@ class TestUnrestrictedCorrectness:
     def test_pair_rates_straddle_bounds(self, protocol):
         rng = random.Random(5)
         p_yes_lb, p_no_ub = protocol.repetition_bounds()
-        rate_yes = pair_rate(star_graph(6), cycle_graph(6), protocol, 120,
-                             rng)
+        rate_yes = per_repetition_success_rate(
+            star_graph(6), cycle_graph(6), protocol, 120, rng)
         g = star_graph(6)
-        rate_no = pair_rate(g, g.relabel([1, 0, 2, 3, 4, 5]), protocol,
-                            120, rng)
+        rate_no = per_repetition_success_rate(
+            g, g.relabel([1, 0, 2, 3, 4, 5]), protocol, 120, rng)
         sigma = math.sqrt(0.25 / 120)
         assert rate_yes >= p_yes_lb - 4 * sigma
         assert rate_no <= p_no_ub + 4 * sigma
@@ -136,12 +136,11 @@ class TestBaseProtocolCollapse:
         g0, g1 = star_graph(6), cycle_graph(6)
         g1_iso = g0.relabel([2, 0, 1, 4, 3, 5])
         base = GNIGoldwasserSipserProtocol(6, repetitions=8)
-        from repro.protocols import per_repetition_success_rate
         base_yes = per_repetition_success_rate(g0, g1, base, 120, rng)
         base_no = per_repetition_success_rate(g0, g1_iso, base, 120, rng)
         general = GeneralGNIProtocol(6, repetitions=8)
-        gen_yes = pair_rate(g0, g1, general, 120, rng)
-        gen_no = pair_rate(g0, g1_iso, general, 120, rng)
+        gen_yes = per_repetition_success_rate(g0, g1, general, 120, rng)
+        gen_no = per_repetition_success_rate(g0, g1_iso, general, 120, rng)
         # Base gap: both rates are tiny and indistinguishable (< 5%).
         assert abs(base_yes - base_no) < 0.05
         # Compensated gap: healthy.

@@ -11,9 +11,10 @@ from repro.graphs import Graph, path_graph, rigid_family_exhaustive
 from repro.protocols import (MARK_NONE, MARK_ONE, MARK_ZERO,
                              MarkedGNIProtocol, marked_instance,
                              marked_subgraph)
-from repro.protocols.gni_marked import (FIELD_COUNT0, FIELD_LABELS,
-                                        FIELD_MARK, FIELD_ZSUMS, ROUND_M1,
-                                        ROUND_M3, relabeled_encoding)
+from repro.protocols.gni_marked import (FIELD_CLAIMS, FIELD_COUNT0,
+                                        FIELD_LABELS, FIELD_MARK,
+                                        FIELD_ZSUMS, ROUND_M1, ROUND_M3,
+                                        relabeled_encoding)
 
 
 def dumbbell_marked(f_a: Graph, f_b: Graph):
@@ -92,6 +93,21 @@ class TestCorrectness:
         result = run_protocol(protocol, smaller, protocol.honest_prover(),
                               random.Random(0))
         assert result.accepted  # 5 != 6: non-isomorphic for free
+
+    def test_unequal_sizes_still_check_claims(self, protocol, rigid6):
+        """The free accept on k₀ ≠ k₁ comes only after every claim
+        check: a bogus claim (no labels behind it) still rejects."""
+        instance = dumbbell_marked(rigid6[0], rigid6[1])
+        marks = dict(instance.inputs)
+        marks[5] = MARK_NONE
+        smaller = marked_instance(instance.graph, marks)
+        claim_first = {(ROUND_M1, v, FIELD_CLAIMS):
+                       (lambda claims: ((0,),) + claims[1:])
+                       for v in range(13)}
+        prover = TamperingProver(protocol.honest_prover(), claim_first)
+        result = run_protocol(protocol, smaller, prover, random.Random(0))
+        assert not result.accepted
+        assert not result.decisions[0]
 
     def test_wrong_promise_rejected(self, rigid6):
         """Equal sizes that differ from the declared k are outside the
