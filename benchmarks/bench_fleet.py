@@ -1,8 +1,8 @@
 """Shard-count scaling of the fleet sweep executor.
 
 Runs the same synthetic lab spec through ``run_fleet`` at increasing
-shard counts (real forked workers) and records wall time, per-shard
-cell counts, and merge statistics into ``BENCH_fleet.json``.  Every
+shard counts (real forked workers) and reports wall time, per-shard
+cell counts, and merge statistics as a result table.  Every
 scenario *asserts* the byte-identity contract before reporting a
 number: the merged fleet store must match a serial ``run_specs``
 baseline on all deterministic fields.

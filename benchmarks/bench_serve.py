@@ -5,8 +5,8 @@ through the same ``handle()`` entry point both transports use: a fleet
 of concurrent clients submits small Sym/dMAM jobs (the service's
 throughput floor in ISSUE/acceptance terms: ≥ 1000 verifications/sec
 sustained, where one verification = one protocol trial), and the
-benchmark records sustained throughput plus p50/p99 request latency
-per engine into ``BENCH_serve.json``.
+benchmark reports sustained throughput plus p50/p99 request latency
+per engine as a result table.
 
 Two properties are *asserted*, not just reported:
 

@@ -50,7 +50,8 @@ import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (Any, Callable, Dict, List, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from ..obs.session import (Collected, active, collecting,
                            export_collected, merge_collected, use_session)
@@ -380,12 +381,17 @@ class AcceptanceEstimate:
                 f"[{lo:.3f}, {hi:.3f}], trials={self.trials})")
 
 
+#: One batch's tallies: (accepted, decide_calls, short_circuits,
+#: phase_seconds).
+_Counts = Tuple[int, int, int, Dict[str, float]]
+
+
 def _trial_batch(protocol: Protocol, instance: Instance, prover: Prover,
                  context: InstanceContext, seed: int, start: int,
                  count: int, stop_on_first_reject: bool
-                 ) -> Tuple[int, int, int, Dict[str, float], Collected]:
+                 ) -> Tuple[_Counts, Collected]:
     """Run trials ``start .. start+count-1`` of the stream; returns
-    ``(accepted, decide_calls, short_circuits, phase_seconds,
+    ``((accepted, decide_calls, short_circuits, phase_seconds),
     collected)``.
 
     When an observability session is active, every trial records a
@@ -439,12 +445,12 @@ def _trial_batch(protocol: Protocol, instance: Instance, prover: Prover,
             for key, value in phase.items():
                 metrics.timer(f"runner/seconds/{key}").inc(value)
         collected = export_collected(buf)
-    return accepted, decide_calls, short_circuits, phase, collected
+    return (accepted, decide_calls, short_circuits, phase), collected
 
 
 def _kernel_batch(kernel: "TrialKernel", seed: int, start: int, count: int,
                   stop_on_first_reject: bool
-                  ) -> Tuple[int, int, int, Dict[str, float], Collected]:
+                  ) -> Tuple[_Counts, Collected]:
     """The numpy engine's counterpart of :func:`_trial_batch`: one
     vectorized kernel call, then the *same* per-trial spans and batch
     metrics the reference loop records (all values converted to plain
@@ -477,8 +483,8 @@ def _kernel_batch(kernel: "TrialKernel", seed: int, start: int, count: int,
                 for key, value in batch.phase_seconds.items():
                     metrics.timer(f"runner/seconds/{key}").inc(value)
         collected = export_collected(buf)
-    return (accepted, decide_calls, short_circuits,
-            dict(batch.phase_seconds), collected)
+    return ((accepted, decide_calls, short_circuits,
+             dict(batch.phase_seconds)), collected)
 
 
 def _resolve_kernel(protocol: Protocol, instance: Instance, prover: Prover,
@@ -530,26 +536,6 @@ def _verify_kernel(kernel: "TrialKernel", protocol: Protocol,
             f"decide_calls={reference.decide_calls}")
 
 
-#: Fork-inherited state for pool workers — set by :func:`run_trials`
-#: immediately before forking so children receive the warm context and
-#: the prover without any pickling (closures inside protocols, e.g.
-#: DSym's structure check, are not picklable).  The final element is
-#: the resolved kernel (None = reference engine).
-_WORKER_STATE: Optional[Tuple[Protocol, Instance, Prover, InstanceContext,
-                              int, bool, Optional["TrialKernel"]]] = None
-
-
-def _worker_batch(span: Tuple[int, int]
-                  ) -> Tuple[int, int, int, Dict[str, float], Collected]:
-    assert _WORKER_STATE is not None
-    protocol, instance, prover, context, seed, stop, kernel = _WORKER_STATE
-    start, count = span
-    if kernel is not None:
-        return _kernel_batch(kernel, seed, start, count, stop)
-    return _trial_batch(protocol, instance, prover, context, seed,
-                        start, count, stop)
-
-
 def _fork_pool_context():
     """The fork multiprocessing context, or None where unsupported."""
     import multiprocessing
@@ -571,6 +557,54 @@ def _spans(total: int, parts: int, offset: int) -> List[Tuple[int, int]]:
             spans.append((start, count))
         start += count
     return spans
+
+
+#: The batch function pool workers run — set by :func:`batched_trials`
+#: immediately before forking, so children inherit it (and the warm
+#: context and prover it closes over) without any pickling: closures
+#: inside protocols, e.g. DSym's structure check, are not picklable.
+_FORKED_BATCH: Optional[Callable[[int, int], Tuple[Any, Collected]]] = None
+
+
+def _forked_batch(span: Tuple[int, int]) -> Tuple[Any, Collected]:
+    assert _FORKED_BATCH is not None
+    return _FORKED_BATCH(*span)
+
+
+def batched_trials(batch: Callable[[int, int], Tuple[Any, Collected]],
+                   trials: int, workers: int) -> Tuple[List[Any], int]:
+    """Run ``batch(start, count)`` over trials ``0 .. trials-1``; returns
+    the parts' results in trial order and the worker count used.
+
+    ``batch`` records its spans and metrics into a buffer session
+    (:func:`repro.obs.session.collecting`) and returns ``(result,
+    collected)``; each part's buffer is merged into the ambient session
+    in trial order, which is what keeps parallel traces identical to
+    serial ones.  With one worker (or no ``fork``) the whole range is
+    one direct call.  Otherwise trial 0 runs in the parent first, so
+    the shared context is warm at fork time and every child inherits
+    the cached structure, and the remaining trials are split into
+    contiguous spans over a fork pool.
+    """
+    sess = active()
+    workers = min(workers, max(trials, 1))
+    pool_ctx = _fork_pool_context() if workers > 1 and trials > 1 else None
+    result, collected = batch(0, trials if pool_ctx is None else 1)
+    merge_collected(sess, collected)
+    results = [result]
+    if pool_ctx is None:
+        return results, 1
+    global _FORKED_BATCH
+    _FORKED_BATCH = batch
+    try:
+        with pool_ctx.Pool(processes=workers) as pool:
+            parts = pool.map(_forked_batch, _spans(trials - 1, workers, 1))
+    finally:
+        _FORKED_BATCH = None
+    for result, collected in parts:
+        merge_collected(sess, collected)
+        results.append(result)
+    return results, workers
 
 
 def run_trials(protocol: Protocol, instance: Instance, prover: Prover,
@@ -631,45 +665,19 @@ def run_trials(protocol: Protocol, instance: Instance, prover: Prover,
         return _trial_batch(protocol, instance, prover, context, seed,
                             start, count, stop_on_first_reject)
 
-    workers = min(workers, max(trials, 1))
-    pool_ctx = _fork_pool_context() if workers > 1 and trials > 1 else None
-
     sess = active()
     outer = nullcontext() if sess is None else sess.span(
         "runner.run_trials", protocol=protocol.name, n=instance.n,
         trials=trials, seed=seed)
     with outer as span:
-        if pool_ctx is None:
-            (accepted, decide_calls, short_circuits, phase,
-             collected) = batch(0, trials)
-            merge_collected(sess, collected)
-            used_workers = 1
-        else:
-            # Warm the context in-parent on trial 0, then fork.  The
-            # children inherit the active session and buffer their own
-            # spans/metrics; merging the parts in trial order below is
-            # what keeps parallel traces identical to serial ones.
-            (accepted, decide_calls, short_circuits, phase,
-             collected) = batch(0, 1)
-            merge_collected(sess, collected)
-            global _WORKER_STATE
-            _WORKER_STATE = (protocol, instance, prover, context, seed,
-                             stop_on_first_reject, kernel)
-            try:
-                with pool_ctx.Pool(processes=workers) as pool:
-                    parts = pool.map(_worker_batch,
-                                     _spans(trials - 1, workers, 1))
-            finally:
-                _WORKER_STATE = None
-            for (part_accepted, part_calls, part_short, part_phase,
-                 part_collected) in parts:
-                accepted += part_accepted
-                decide_calls += part_calls
-                short_circuits += part_short
-                for key, value in part_phase.items():
-                    phase[key] += value
-                merge_collected(sess, part_collected)
-            used_workers = workers
+        parts, used_workers = batched_trials(batch, trials, workers)
+        (accepted, decide_calls, short_circuits, phase), *rest = parts
+        for part_accepted, part_calls, part_short, part_phase in rest:
+            accepted += part_accepted
+            decide_calls += part_calls
+            short_circuits += part_short
+            for key, value in part_phase.items():
+                phase[key] += value
 
         elapsed = time.perf_counter() - start_time
         if span is not None:

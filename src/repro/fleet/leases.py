@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..lab.store import append_jsonl, read_jsonl
+from ..obs.io import append_jsonl, read_jsonl
 
 #: Subdirectory of the store root holding fleet coordination state.
 FLEET_DIR = "fleet"

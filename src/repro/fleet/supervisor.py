@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core.runner import _fork_pool_context
 from ..lab.runner import set_shard
 from ..lab.spec import ExperimentSpec
-from ..lab.store import DETERMINISTIC_FIELDS, ResultStore
+from ..lab.store import ResultStore, project
 from ..obs.session import ObsSession, active, merge_collected
 from .leases import scan_leases, orphaned_keys, shard_heartbeats
 from .plan import Task, partition, plan_tasks, spec_tasks
@@ -48,10 +48,6 @@ from .worker import (SimulatedCrash, execute_shard_tasks, shard_obs_path,
 #: gets, and the base of the exponential backoff between waves.
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF = 0.25
-
-
-def _project(record: Dict[str, Any]) -> Dict[str, Any]:
-    return {name: record.get(name) for name in DETERMINISTIC_FIELDS}
 
 
 def _remaining(spec_by_index: Sequence[ExperimentSpec],
@@ -150,7 +146,7 @@ def merge_shards(specs: Sequence[ExperimentSpec],
             record = collected.get(key)
             if record is None:
                 continue
-            if key in main and _project(main[key]) == _project(record):
+            if key in main and project(main[key]) == project(record):
                 skipped += 1
                 continue
             store.append_cell(spec, record)

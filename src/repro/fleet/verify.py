@@ -6,11 +6,12 @@ counts, same per-round layout, same extra payload.  Wall-clock,
 worker count, engine, shard and host are instrumentation and are
 deliberately outside the comparison, exactly as in ``lab check``.
 
-``diff_stores`` projects both stores' cells onto
-:data:`~repro.lab.store.DETERMINISTIC_FIELDS` and reports cells
-missing from either side plus field-level drift, per spec.  CI runs
-it between a serial store and a sharded (and a fault-injected) fleet
-store; any difference is a hard failure.
+``diff_stores`` compares both stores' cells spec by spec with
+:func:`~repro.lab.store.diff_cells` — the same deterministic-field
+comparison ``lab check`` uses — and reports cells missing from either
+side plus field-level drift.  CI runs it between a serial store and a
+sharded (and a fault-injected) fleet store; any difference is a hard
+failure.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from ..lab.spec import ExperimentSpec
-from ..lab.store import DETERMINISTIC_FIELDS, ResultStore
-
-
-def _project(record: Dict[str, Any]) -> Dict[str, Any]:
-    return {name: record.get(name) for name in DETERMINISTIC_FIELDS}
+from ..lab.store import ResultStore, diff_cells
 
 
 def diff_stores(specs: Sequence[ExperimentSpec], store_a: ResultStore,
@@ -33,23 +30,13 @@ def diff_stores(specs: Sequence[ExperimentSpec], store_a: ResultStore,
     for spec in specs:
         cells_a = store_a.load_cells(spec)
         cells_b = store_b.load_cells(spec)
-        missing_b = sorted(set(cells_a) - set(cells_b))
-        missing_a = sorted(set(cells_b) - set(cells_a))
-        drift = []
-        for key in sorted(set(cells_a) & set(cells_b)):
-            pa, pb = _project(cells_a[key]), _project(cells_b[key])
-            fields = [name for name in DETERMINISTIC_FIELDS
-                      if pa[name] != pb[name]]
-            if fields:
-                drift.append({"cell": key, "fields": fields,
-                              "a": {f: pa[f] for f in fields},
-                              "b": {f: pb[f] for f in fields}})
-        spec_ok = not (missing_a or missing_b or drift)
+        diff = diff_cells(cells_a, cells_b)
+        spec_ok = not (diff["only_in_a"] or diff["only_in_b"]
+                       or diff["drift"])
         ok = ok and spec_ok
         entries.append({"spec": spec.name, "ok": spec_ok,
                         "cells": len(set(cells_a) | set(cells_b)),
-                        "only_in_a": missing_b, "only_in_b": missing_a,
-                        "drift": drift})
+                        **diff})
     return {"ok": ok, "a": str(store_a.root), "b": str(store_b.root),
             "specs": entries}
 

@@ -7,7 +7,8 @@ into declarative, content-addressed data:
 * :mod:`repro.lab.spec` — :class:`ExperimentSpec` and the registry;
 * :mod:`repro.lab.runner` — sweep execution with resume semantics;
 * :mod:`repro.lab.store` — append-only JSONL records under
-  ``benchmarks/lab_store/`` plus the benchmark-table recorder;
+  ``benchmarks/lab_store/`` plus the one cell comparison
+  (``project`` / ``diff_cells``);
 * :mod:`repro.lab.fitter` — least-squares scaling-law verdicts;
 * :mod:`repro.lab.gate` — the ``lab check`` regression gate;
 * :mod:`repro.lab.report` — byte-stable markdown projection;

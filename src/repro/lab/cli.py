@@ -1,7 +1,9 @@
 """The ``python -m repro lab`` command group.
 
-``lab run``     execute specs (quick + full grids), recording cells
-                into the store; already-recorded cells are skipped.
+``lab run``     execute specs (quick + full grids) one cell at a time,
+                recording cells into the store; already-recorded cells
+                are skipped (``fleet run --shards N`` is the parallel
+                path over the same grid).
 ``lab check``   the regression gate: fresh-run the quick grid, compare
                 against the committed store, render fitter verdicts
                 from the stored full-grid curves.  Exit 1 on any
@@ -37,8 +39,7 @@ def cmd_lab_run(args: argparse.Namespace) -> int:
     specs = get_specs(args.spec or None)
     store = _store(args)
     summary = run_specs(specs, store, quick=args.quick,
-                        workers=args.workers, engine=args.engine,
-                        resume=not args.refresh)
+                        engine=args.engine, resume=not args.refresh)
     summary["store"] = str(store.root)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -56,8 +57,7 @@ def cmd_lab_run(args: argparse.Namespace) -> int:
 def cmd_lab_check(args: argparse.Namespace) -> int:
     specs = get_specs(args.spec or None)
     store = _store(args)
-    report = check_specs(specs, store, quick=not args.full,
-                         workers=args.workers)
+    report = check_specs(specs, store, quick=not args.full)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -107,9 +107,6 @@ def add_lab_parser(sub: argparse._SubParsersAction) -> None:
     common(p)
     p.add_argument("--quick", action="store_true",
                    help="quick grids only (CI smoke scale)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for grid cells (records and "
-                        "traces are identical to a serial run)")
     p.add_argument("--engine", default="python",
                    choices=["python", "numpy"],
                    help="trial engine for sweep cells (byte-equivalent; "
@@ -126,8 +123,6 @@ def add_lab_parser(sub: argparse._SubParsersAction) -> None:
     common(p)
     p.add_argument("--full", action="store_true",
                    help="re-run the full grids instead of quick")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for grid cells")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
     p.set_defaults(func=cmd_lab_check)

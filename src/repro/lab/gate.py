@@ -23,16 +23,12 @@ from typing import Any, Dict, List, Optional, Sequence
 from .fitter import fit_scaling
 from .runner import fit_points, run_spec
 from .spec import ExperimentSpec
-from .store import DETERMINISTIC_FIELDS, ResultStore
+from .store import ResultStore, diff_cells
 
 #: Instrumentation comparison: fresh wall may exceed stored wall by
 #: this factor (plus the absolute grace) before a warning is raised.
 WALL_DRIFT_FACTOR = 5.0
 WALL_DRIFT_GRACE = 0.25  # seconds
-
-#: Cell-record fields whose mismatch is a hard failure.
-_COMPARE = tuple(f for f in DETERMINISTIC_FIELDS
-                 if f not in ("spec", "spec_hash"))
 
 
 def _fit_report(spec: ExperimentSpec,
@@ -67,41 +63,37 @@ def _fit_report(spec: ExperimentSpec,
 
 
 def check_spec(spec: ExperimentSpec, store: ResultStore, *,
-               quick: bool = True, workers: int = 1) -> Dict[str, Any]:
+               quick: bool = True) -> Dict[str, Any]:
     """Fresh-run one spec's grid and compare against the store."""
     stored = store.load_cells(spec)
-    fresh = run_spec(spec, store=None, quick=quick, workers=workers)
+    fresh = run_spec(spec, store=None, quick=quick)
+    diff = diff_cells(stored, {r.key: r.record for r in fresh})
+    missing = set(diff["only_in_b"])
+    drift = {entry["cell"]: entry for entry in diff["drift"]}
     cells: List[Dict[str, Any]] = []
     warnings: List[str] = []
     ok = True
     for result in fresh:
-        baseline = stored.get(result.key)
         entry: Dict[str, Any] = {"cell": result.key}
-        if baseline is None:
+        if result.key in missing:
             entry["status"] = "missing"
             entry["hint"] = ("no baseline record; run `python -m repro "
                             "lab run` and commit benchmarks/lab_store/")
             ok = False
+        elif result.key in drift:
+            cell = drift[result.key]
+            entry.update(status="drift", fields=cell["fields"],
+                         stored=cell["a"], fresh=cell["b"])
+            ok = False
         else:
-            drifted = [name for name in _COMPARE
-                       if baseline.get(name) != result.record.get(name)]
-            if drifted:
-                entry["status"] = "drift"
-                entry["fields"] = drifted
-                entry["stored"] = {name: baseline.get(name)
-                                   for name in drifted}
-                entry["fresh"] = {name: result.record.get(name)
-                                  for name in drifted}
-                ok = False
-            else:
-                entry["status"] = "ok"
-                base_wall = float(baseline.get("wall", 0.0))
-                fresh_wall = float(result.record.get("wall", 0.0))
-                if fresh_wall > WALL_DRIFT_FACTOR * base_wall \
-                        + WALL_DRIFT_GRACE:
-                    warnings.append(
-                        f"{spec.name} {result.key}: wall {fresh_wall:.3f}s "
-                        f"vs baseline {base_wall:.3f}s")
+            entry["status"] = "ok"
+            base_wall = float(stored[result.key].get("wall", 0.0))
+            fresh_wall = float(result.record.get("wall", 0.0))
+            if fresh_wall > WALL_DRIFT_FACTOR * base_wall \
+                    + WALL_DRIFT_GRACE:
+                warnings.append(
+                    f"{spec.name} {result.key}: wall {fresh_wall:.3f}s "
+                    f"vs baseline {base_wall:.3f}s")
         cells.append(entry)
     fit = _fit_report(spec, stored)
     if fit is not None and not fit["ok"]:
@@ -111,10 +103,9 @@ def check_spec(spec: ExperimentSpec, store: ResultStore, *,
 
 
 def check_specs(specs: Sequence[ExperimentSpec], store: ResultStore, *,
-                quick: bool = True, workers: int = 1) -> Dict[str, Any]:
+                quick: bool = True) -> Dict[str, Any]:
     """The full gate: every spec checked, one overall verdict."""
-    reports = [check_spec(spec, store, quick=quick, workers=workers)
-               for spec in specs]
+    reports = [check_spec(spec, store, quick=quick) for spec in specs]
     return {
         "ok": all(report["ok"] for report in reports),
         "store": str(store.root),

@@ -2,20 +2,16 @@
 
 One **cell** is the atom of lab work: a (size, prover, trials, seed)
 point of a spec.  The runner executes cells with the deterministic
-``seed + trial_index`` streams of :func:`repro.core.runner.run_trials`
-(so worker count never changes a measurement), normalizes each record
-through a JSON round-trip (so fresh and replayed records compare
-bit-for-bit), and appends them to the result store.  Cells already in
-the store are skipped — re-running a partially recorded sweep only
-pays for the missing cells.
+``seed + trial_index`` streams of :func:`repro.core.runner.run_trials`,
+normalizes each record through a JSON round-trip (so fresh and
+replayed records compare bit-for-bit), and appends them to the result
+store.  Cells already in the store are skipped — re-running a
+partially recorded sweep only pays for the missing cells.
 
-``workers > 1`` fans the *cells* of a grid over a fork-based process
-pool (every spec kind parallelizes, not just the trial sweeps).  Each
-worker wraps its cell in an observability buffer
-(:func:`repro.obs.session.collecting`) and ships the buffer back with
-the record; the parent merges buffers in grid order — the same
-protocol the core runner uses for trial batches — so ``lab run
---workers N`` traces and records are byte-identical to a serial run.
+A spec's cells run one after another in this process; the parallel
+path over the same cell grid is the fleet (``fleet run --shards N``,
+:mod:`repro.fleet`), whose merged store equals a serial ``lab run`` on
+every deterministic field.
 """
 
 from __future__ import annotations
@@ -29,11 +25,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.model import Instance, Protocol, Prover
 from ..core.report import execution_cost
-# _fork_pool_context is the core runner's "fork, or None where
-# unsupported" probe — the lab pool must degrade on the same platforms.
-from ..core.runner import _fork_pool_context, run_protocol, run_trials
-from ..obs.session import (Collected, active, collecting,
-                           export_collected, merge_collected)
+from ..core.runner import run_protocol, run_trials
+from ..obs.session import active
 from .spec import (ExperimentSpec, GRAPHS, KIND_COLLISION, KIND_EDGECHECK,
                    KIND_LEDGER, KIND_NETSIM_EQUIV, KIND_NETSIM_FAULTS,
                    KIND_PACKING, KIND_SWEEP, PROTOCOLS, PROVERS)
@@ -92,8 +85,7 @@ def _base_record(spec: ExperimentSpec, n: int, size: int, prover: str,
         "n": n, "size": size, "prover": prover,
         "trials": trials, "seed": spec.seed,
         "accepted": 0, "bits": 0, "round_bits": [], "extra": {},
-        "wall": 0.0, "workers": 1,
-        "shard": _SHARD, "host": _hostname(),
+        "workers": 1, "shard": _SHARD, "host": _hostname(),
     }
 
 
@@ -105,9 +97,7 @@ def _round_bits(protocol: Protocol, instance: Instance,
 
 
 def _sweep_cell(spec: ExperimentSpec, n: int, prover_key: str,
-                trials: int, workers: int,
-                engine: str = "python") -> Dict[str, Any]:
-    start = time.perf_counter()
+                trials: int, engine: str) -> Dict[str, Any]:
     protocol = PROTOCOLS[spec.protocol](n)
     instance = GRAPHS[spec.graph](n)
     prover: Prover = PROVERS[prover_key](protocol)
@@ -116,14 +106,12 @@ def _sweep_cell(spec: ExperimentSpec, n: int, prover_key: str,
     cost_run = run_protocol(protocol, instance, prover,
                             random.Random(spec.seed), context=context)
     estimate = run_trials(protocol, instance, prover, trials, spec.seed,
-                          workers=workers, context=context, engine=engine)
+                          context=context, engine=engine)
     record = _base_record(spec, n, instance.n, prover_key, trials)
     record.update(
         accepted=estimate.accepted,
         bits=cost_run.max_cost_bits,
         round_bits=_round_bits(protocol, instance, cost_run),
-        wall=round(time.perf_counter() - start, 6),
-        workers=estimate.workers,
         # provenance, like wall/workers: the engine that actually ran
         # (estimate.engine reports the fallback when numpy is absent).
         engine=estimate.engine,
@@ -133,14 +121,12 @@ def _sweep_cell(spec: ExperimentSpec, n: int, prover_key: str,
 
 def _packing_cell(spec: ExperimentSpec, n: int) -> Dict[str, Any]:
     from ..lowerbound import lower_bound_table
-    start = time.perf_counter()
     row = lower_bound_table([n])[0]
     record = _base_record(spec, n, n, "analytic", 0)
     record.update(
         bits=row.min_simple_length,
         extra={"log2_family_size": round(row.log2_family_size, 6),
                "loglog_n": round(row.loglog_n, 6)},
-        wall=round(time.perf_counter() - start, 6),
     )
     return record
 
@@ -150,7 +136,6 @@ def _collision_cell(spec: ExperimentSpec, n: int,
     """Exact collision-seed counts (brute force over all seeds) for
     ``pairs`` random vector pairs at the prime ≥ ``n``."""
     from ..hashing import LinearHashFamily, collision_seed_count, next_prime
-    start = time.perf_counter()
     p = next_prime(n)
     family = LinearHashFamily(m=_COLLISION_M, p=p)
     rng = random.Random(spec.seed + n)
@@ -165,7 +150,6 @@ def _collision_cell(spec: ExperimentSpec, n: int,
     record.update(
         bits=worst,
         extra={"p": p, "m": _COLLISION_M},
-        wall=round(time.perf_counter() - start, 6),
     )
     return record
 
@@ -177,7 +161,6 @@ def _edgecheck_cell(spec: ExperimentSpec, k: int,
     from ..graphs import cycle_graph
     from ..network import (DeterministicEquality, HashedEquality,
                            detection_probability)
-    start = time.perf_counter()
     graph = cycle_graph(_EDGECHECK_NODES)
     det = DeterministicEquality(k)
     hashed = HashedEquality(k)
@@ -198,7 +181,6 @@ def _edgecheck_cell(spec: ExperimentSpec, k: int,
                "det_bits": det.message_bits,
                "det_detections": round(det_rate * det_trials),
                "det_trials": det_trials},
-        wall=round(time.perf_counter() - start, 6),
     )
     return record
 
@@ -211,7 +193,6 @@ def _netsim_equiv_cell(spec: ExperimentSpec, n: int, prover_key: str,
     overhead counters."""
     from ..core import execution_to_jsonable
     from ..netsim import run_netsim
-    start = time.perf_counter()
     protocol = PROTOCOLS[spec.protocol](n)
     instance = GRAPHS[spec.graph](n)
     from ..core.context import InstanceContext
@@ -247,7 +228,6 @@ def _netsim_equiv_cell(spec: ExperimentSpec, n: int, prover_key: str,
         extra={"equivalent": equivalent,
                "overhead_bits": overhead,
                "crosscheck_bits": crosscheck},
-        wall=round(time.perf_counter() - start, 6),
     )
     return record
 
@@ -257,7 +237,6 @@ def _netsim_faults_cell(spec: ExperimentSpec, n: int, prover_key: str,
     """E13's fault-matrix cell: acceptance/detection rates per fault
     configuration, with the hashed-equality analytic bound."""
     from ..netsim.harness import fault_matrix
-    start = time.perf_counter()
     matrix = fault_matrix(spec.seed, trials=trials, n=n)
     baseline = matrix["rows"][0]
     record = _base_record(spec, n, n, prover_key, trials)
@@ -267,7 +246,6 @@ def _netsim_faults_cell(spec: ExperimentSpec, n: int, prover_key: str,
         extra={"rows": [{k: v for k, v in row.items()}
                         for row in matrix["rows"]],
                "all_ok": matrix["all_ok"]},
-        wall=round(time.perf_counter() - start, 6),
     )
     return record
 
@@ -279,7 +257,6 @@ def _ledger_cell(spec: ExperimentSpec, n: int) -> Dict[str, Any]:
     specs' cells (its own kind is not a checked kind), so the record
     is a pure function of code + committed store."""
     from ..ledger.evaluate import default_check
-    start = time.perf_counter()
     report = default_check()
     constants: Dict[str, Any] = {}
     required = set(report["expected_bounds"]["required"])
@@ -307,24 +284,23 @@ def _ledger_cell(spec: ExperimentSpec, n: int) -> Dict[str, Any]:
                 report["expected_bounds"]["checked"]),
             "constants": constants,
         },
-        wall=round(time.perf_counter() - start, 6),
     )
     return record
 
 
 def compute_cell(spec: ExperimentSpec, n: int, prover_key: str,
-                 trials: int, workers: int = 1,
-                 engine: str = "python") -> Dict[str, Any]:
-    """Execute one cell and return its normalized record.
+                 trials: int, engine: str = "python") -> Dict[str, Any]:
+    """Execute one cell and return its normalized record; ``wall`` is
+    the cell's wall time, measured here once for every kind.
 
     ``engine`` selects the trial engine for sweep cells (the other
     kinds run analytic or netsim code where it does not apply).  The
     engines are byte-equivalent, so records differ only in the
     ``engine`` provenance field.
     """
+    start = time.perf_counter()
     if spec.kind == KIND_SWEEP:
-        record = _sweep_cell(spec, n, prover_key, trials, workers,
-                             engine)
+        record = _sweep_cell(spec, n, prover_key, trials, engine)
     elif spec.kind == KIND_PACKING:
         record = _packing_cell(spec, n)
     elif spec.kind == KIND_COLLISION:
@@ -339,6 +315,7 @@ def compute_cell(spec: ExperimentSpec, n: int, prover_key: str,
         record = _ledger_cell(spec, n)
     else:  # pragma: no cover - ExperimentSpec validates kinds
         raise ValueError(f"unknown spec kind {spec.kind!r}")
+    record["wall"] = round(time.perf_counter() - start, 6)
     return _normalize(record)
 
 
@@ -377,72 +354,8 @@ def spec_cells(spec: ExperimentSpec,
             for prover in spec.provers]
 
 
-def _collected_cell(spec: ExperimentSpec, n: int, prover_key: str,
-                    trials: int,
-                    engine: str = "python",
-                    ctx: Optional[Dict[str, Any]] = None
-                    ) -> Tuple[Dict[str, Any], Collected]:
-    """One cell under an observability buffer: the ``lab.cell`` span
-    (and everything the engines record beneath it) lands in the buffer,
-    which travels back with the record so the parent can merge it in
-    grid order.  Serial and pooled execution share this path — ``ctx``
-    (the ``lab.run_spec`` span's trace context) is threaded through
-    both, landing only in span ``meta`` — so their deterministic
-    traces are byte-identical by construction."""
-    with collecting(ctx) as buf:
-        with (nullcontext() if buf is None else
-              buf.span("lab.cell", spec=spec.name, n=n,
-                       prover=prover_key, trials=trials)):
-            record = compute_cell(spec, n, prover_key, trials,
-                                  engine=engine)
-        collected = export_collected(buf)
-    return record, collected
-
-
-#: Fork-inherited (spec, engine, trace ctx) for pool workers — set by
-#: :func:`_run_cells` immediately before forking (specs can carry
-#: non-picklable graph factories; the fork pool sidesteps pickling
-#: entirely, exactly as the core runner's trial pool does).
-_CELL_STATE: Optional[Tuple[ExperimentSpec, str,
-                            Optional[Dict[str, Any]]]] = None
-
-
-def _cell_worker(task: Tuple[int, str, int]
-                 ) -> Tuple[Dict[str, Any], Collected]:
-    assert _CELL_STATE is not None
-    spec, engine, ctx = _CELL_STATE
-    n, prover_key, trials = task
-    return _collected_cell(spec, n, prover_key, trials, engine, ctx)
-
-
-def _run_cells(spec: ExperimentSpec, tasks: List[Tuple[int, str, int]],
-               workers: int,
-               engine: str = "python",
-               ctx: Optional[Dict[str, Any]] = None
-               ) -> List[Tuple[Dict[str, Any], Collected]]:
-    """Execute ``tasks`` (in order), fanning them over a fork pool when
-    ``workers > 1``.  ``chunksize=1`` keeps the slowest cells from
-    serializing behind each other; ``pool.map`` returns results in task
-    order regardless of completion order."""
-    if not tasks:
-        return []
-    workers = min(workers, len(tasks))
-    pool_ctx = _fork_pool_context() if workers > 1 else None
-    if pool_ctx is None:
-        return [_collected_cell(spec, n, prover_key, trials, engine, ctx)
-                for n, prover_key, trials in tasks]
-    global _CELL_STATE
-    _CELL_STATE = (spec, engine, ctx)
-    try:
-        with pool_ctx.Pool(processes=workers) as pool:
-            return pool.map(_cell_worker, tasks, chunksize=1)
-    finally:
-        _CELL_STATE = None
-
-
 def run_spec(spec: ExperimentSpec, store: Optional[ResultStore] = None, *,
-             quick: bool = False, workers: int = 1,
-             resume: bool = True,
+             quick: bool = False, resume: bool = True,
              engine: str = "python") -> List[CellResult]:
     """Execute one spec's grid, recording cells into ``store``.
 
@@ -450,11 +363,6 @@ def run_spec(spec: ExperimentSpec, store: Optional[ResultStore] = None, *,
     already recorded are returned as ``skipped`` replays instead of
     re-executing.  With ``store=None`` every cell is computed fresh
     and nothing is written — the regression gate's comparison mode.
-
-    ``workers > 1`` computes the grid's missing cells on a fork-based
-    process pool, one cell per task.  Records, store contents, result
-    order and observability output are all independent of the worker
-    count (see the module docstring).
     """
     stored = store.load_cells(spec) if (store and resume) else {}
     sess = active()
@@ -463,31 +371,24 @@ def run_spec(spec: ExperimentSpec, store: Optional[ResultStore] = None, *,
         quick=quick)
     results: List[CellResult] = []
     with outer as span:
-        cells = spec_cells(spec, quick)
-        keys = [cell_key(n, prover_key, trials, spec.seed)
-                for n, prover_key, trials in cells]
-        queued = set()
-        pending = [(key, cell) for key, cell in zip(keys, cells)
-                   if key not in stored
-                   and not (key in queued or queued.add(key))]
-        ctx = None if sess is None else sess.trace_context()
-        computed = _run_cells(spec, [cell for _, cell in pending],
-                              workers, engine, ctx)
         fresh: Dict[str, Dict[str, Any]] = {}
-        for (key, _), (record, collected) in zip(pending, computed):
-            merge_collected(sess, collected)
+        for n, prover_key, trials in spec_cells(spec, quick):
+            key = cell_key(n, prover_key, trials, spec.seed)
+            if key in stored:
+                results.append(CellResult(spec.name, key, stored[key],
+                                          True))
+                continue
             if key not in fresh:
+                with (nullcontext() if sess is None else
+                      sess.span("lab.cell", spec=spec.name, n=n,
+                                prover=prover_key, trials=trials)):
+                    record = compute_cell(spec, n, prover_key, trials,
+                                          engine=engine)
                 fresh[key] = record
                 if store is not None:
                     guard_record_bounds(spec, record)
                     store.append_cell(spec, record)
-        for key in keys:
-            if key in stored:
-                results.append(CellResult(spec.name, key, stored[key],
-                                          True))
-            else:
-                results.append(CellResult(spec.name, key, fresh[key],
-                                          False))
+            results.append(CellResult(spec.name, key, fresh[key], False))
         ran = sum(not r.skipped for r in results)
         if span is not None:
             span.set(cells=len(results), ran=ran,
@@ -501,7 +402,7 @@ def run_spec(spec: ExperimentSpec, store: Optional[ResultStore] = None, *,
 
 def run_specs(specs, store: Optional[ResultStore] = None, *,
               quick: bool = False, full: bool = True,
-              workers: int = 1, resume: bool = True,
+              resume: bool = True,
               engine: str = "python") -> Dict[str, Any]:
     """Run many specs; by default both the quick grid (the CI
     comparison cells) and the full grid (the fitter's curve) so one
@@ -515,12 +416,11 @@ def run_specs(specs, store: Optional[ResultStore] = None, *,
     for spec in specs:
         start = time.perf_counter()
         results: List[CellResult] = []
-        results.extend(run_spec(spec, store, quick=True, workers=workers,
-                                resume=resume, engine=engine))
+        results.extend(run_spec(spec, store, quick=True, resume=resume,
+                                engine=engine))
         if full and not quick:
             results.extend(run_spec(spec, store, quick=False,
-                                    workers=workers, resume=resume,
-                                    engine=engine))
+                                    resume=resume, engine=engine))
         seen = set()
         deduped = [r for r in results
                    if not (r.key in seen or seen.add(r.key))]

@@ -14,18 +14,48 @@ automatically.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
+from ..obs.io import append_jsonl, read_jsonl
 from .spec import ExperimentSpec
 
 #: Fields of a cell record that must be bit-identical across replays
-#: (the regression gate's hard-fail set).  Wall-clock and worker count
-#: are instrumentation and excluded on purpose.
+#: (the regression gate's hard-fail set).  Wall-clock, worker count,
+#: engine, shard and host are instrumentation and excluded on purpose.
 DETERMINISTIC_FIELDS = ("spec", "spec_hash", "n", "size", "prover",
                         "trials", "seed", "accepted", "bits",
                         "round_bits", "extra")
+
+
+def project(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A cell record's deterministic projection."""
+    return {name: record.get(name) for name in DETERMINISTIC_FIELDS}
+
+
+def diff_cells(a: Dict[str, Dict[str, Any]],
+               b: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """Compare two keyed cell maps on their deterministic projection:
+    the one cell comparison behind ``lab check``, ``fleet diff`` and
+    the fleet's shard merge.
+
+    Returns ``only_in_a`` and ``only_in_b`` (sorted cell keys) and
+    ``drift``: one ``{"cell", "fields", "a", "b"}`` entry per shared
+    key whose projections differ, with the differing fields in
+    :data:`DETERMINISTIC_FIELDS` order and each side's values.
+    """
+    drift = []
+    for key in sorted(set(a) & set(b)):
+        pa, pb = project(a[key]), project(b[key])
+        fields = [name for name in DETERMINISTIC_FIELDS
+                  if pa[name] != pb[name]]
+        if fields:
+            drift.append({"cell": key, "fields": fields,
+                          "a": {f: pa[f] for f in fields},
+                          "b": {f: pb[f] for f in fields}})
+    return {"only_in_a": sorted(set(a) - set(b)),
+            "only_in_b": sorted(set(b) - set(a)),
+            "drift": drift}
 
 
 def default_store_root() -> Path:
@@ -45,45 +75,6 @@ def cell_key(n: int, prover: str, trials: int, seed: int) -> str:
 def record_key(record: Dict[str, Any]) -> str:
     return cell_key(record["n"], record["prover"], record["trials"],
                     record["seed"])
-
-
-def read_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
-    """Every whole record of a JSONL file, in append order.
-
-    A line that does not parse is a record torn by a crash mid-append
-    (SIGKILL, a full disk); it is skipped as if the append never
-    happened, so a resumed run recomputes exactly that cell.
-    """
-    if not path.exists():
-        return
-    with path.open("r", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            yield record
-
-
-def append_jsonl(path: Path, line: str) -> None:
-    """Append one record line with a single ``write`` on an
-    ``O_APPEND`` descriptor.
-
-    A file that does not end in a newline ends in a torn record; the
-    new record then starts on its own line rather than being glued to
-    the fragment (which :func:`read_jsonl` skips).
-    """
-    data = line.encode("ascii") + b"\n"
-    with path.open("a+b", buffering=0) as handle:
-        end = handle.seek(0, os.SEEK_END)
-        if end:
-            handle.seek(end - 1)
-            if handle.read(1) != b"\n":
-                data = b"\n" + data
-        handle.write(data)
 
 
 class ResultStore:

@@ -52,13 +52,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.context import InstanceContext
-from ..obs.session import (Collected, active, collecting,
-                           export_collected, merge_collected)
+from ..obs.session import Collected, active, collecting, export_collected
 from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
                           ProtocolViolation, Prover, ROUND_ARTHUR,
                           ROUND_MERLIN)
 from ..core.runner import (AcceptanceEstimate, Transcript, _decide_node,
-                           _fork_pool_context, _spans)
+                           batched_trials)
 from ..network.randomized_verification import HashedEquality
 from .bits import Bits
 from .codec import CodecError, EncodedFrame
@@ -627,21 +626,6 @@ def _netsim_trial_batch(protocol: Protocol, instance: Instance,
     return accepted, collected
 
 
-#: Fork-inherited worker state, mirroring ``core.runner._WORKER_STATE``.
-_NETSIM_WORKER_STATE: Optional[Tuple[Protocol, Instance, Prover,
-                                     InstanceContext, int, FaultPlan,
-                                     str]] = None
-
-
-def _netsim_worker_batch(span: Tuple[int, int]) -> Tuple[int, Collected]:
-    assert _NETSIM_WORKER_STATE is not None
-    protocol, instance, prover, context, seed, faults, crosscheck = \
-        _NETSIM_WORKER_STATE
-    start, count = span
-    return _netsim_trial_batch(protocol, instance, prover, context,
-                               seed, start, count, faults, crosscheck)
-
-
 def netsim_trials(protocol: Protocol, instance: Instance, prover: Prover,
                   trials: int, seed: int, *,
                   faults: FaultPlan = FAULT_FREE,
@@ -667,40 +651,18 @@ def netsim_trials(protocol: Protocol, instance: Instance, prover: Prover,
     context.ensure_validated(protocol)
 
     start_time = _time.perf_counter()
-    workers = min(workers, max(trials, 1))
-    pool_ctx = _fork_pool_context() if workers > 1 and trials > 1 else None
+
+    def batch(start: int, count: int) -> Tuple[int, Collected]:
+        return _netsim_trial_batch(protocol, instance, prover, context,
+                                   seed, start, count, faults, crosscheck)
 
     sess = active()
     outer = nullcontext() if sess is None else sess.span(
         "netsim.netsim_trials", protocol=protocol.name, n=instance.n,
         trials=trials, seed=seed, crosscheck=crosscheck)
     with outer as span:
-        if pool_ctx is None:
-            accepted, collected = _netsim_trial_batch(
-                protocol, instance, prover, context, seed, 0, trials,
-                faults, crosscheck)
-            merge_collected(sess, collected)
-            used_workers = 1
-        else:
-            # Warm the context in-parent on trial 0, then fork; merge
-            # worker buffers in trial order (parallel ≡ serial traces).
-            accepted, collected = _netsim_trial_batch(
-                protocol, instance, prover, context, seed, 0, 1,
-                faults, crosscheck)
-            merge_collected(sess, collected)
-            global _NETSIM_WORKER_STATE
-            _NETSIM_WORKER_STATE = (protocol, instance, prover, context,
-                                    seed, faults, crosscheck)
-            try:
-                with pool_ctx.Pool(processes=workers) as pool:
-                    parts = pool.map(_netsim_worker_batch,
-                                     _spans(trials - 1, workers, 1))
-            finally:
-                _NETSIM_WORKER_STATE = None
-            for part_accepted, part_collected in parts:
-                accepted += part_accepted
-                merge_collected(sess, part_collected)
-            used_workers = workers
+        parts, used_workers = batched_trials(batch, trials, workers)
+        accepted = sum(parts)
 
         elapsed = _time.perf_counter() - start_time
         if span is not None:

@@ -42,7 +42,7 @@ from .live import (MetricsRing, TraceRing, histogram_quantile,
                    snapshot_deltas, stitch_spans)
 from .profiling import PROFILE_CPROFILE, PROFILE_MODES, PROFILE_TRACEMALLOC, \
     profiled
-from .recorder import BenchRecorder, bench_id, bench_summary_name
+from .recorder import BenchRecorder, bench_id
 from .session import (Collected, EMPTY_COLLECTED, ObsSession, active,
                       adopt_context, collecting, export_collected,
                       merge_collected, session, use_session)
@@ -77,7 +77,6 @@ __all__ = [
     "append_records",
     "bench_id",
     "bench_mode",
-    "bench_summary_name",
     "collecting",
     "default_obs_root",
     "deterministic_span",

@@ -32,6 +32,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from .io import append_jsonl, read_jsonl
+
 HISTORY_FILE = "bench_history.jsonl"
 
 #: Defaults for the noise-aware wall gate: newest wall regresses when
@@ -101,21 +103,8 @@ def record_key(record: Dict[str, Any]) -> tuple:
 def load_history(path: Path) -> List[Dict[str, Any]]:
     """Every record in file order; malformed lines are skipped (the
     file is append-only and may interleave writers)."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and record.get("bench"):
-            records.append(record)
-    return records
+    return [record for record in read_jsonl(Path(path))
+            if isinstance(record, dict) and record.get("bench")]
 
 
 def effective_history(records: List[Dict[str, Any]]
@@ -140,15 +129,14 @@ def append_records(path: Path, records: List[Dict[str, Any]]
     path.parent.mkdir(parents=True, exist_ok=True)
     existing = {record_key(r) for r in load_history(path)}
     lines = []
-    with path.open("a", encoding="ascii") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            key = record_key(record)
-            verb = "replaced" if key in existing else "appended"
-            existing.add(key)
-            lines.append(
-                f"bench_history: {verb} {record['bench']} "
-                f"@ {record['sha']} [{record.get('mode', 'full')}]")
+    for record in records:
+        append_jsonl(path, json.dumps(record, sort_keys=True))
+        key = record_key(record)
+        verb = "replaced" if key in existing else "appended"
+        existing.add(key)
+        lines.append(
+            f"bench_history: {verb} {record['bench']} "
+            f"@ {record['sha']} [{record.get('mode', 'full')}]")
     return lines
 
 

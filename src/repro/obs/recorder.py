@@ -1,19 +1,16 @@
-"""The obs-backed benchmark recorder: per-bench ``BENCH_<name>.json``.
+"""The obs-backed benchmark recorder: one ``bench_history.jsonl``
+record per bench module.
 
-Historically only an aggregate ``BENCH_runner.json`` was flushed by
-the benchmark conftest, so the per-bench performance trajectory the
-ROADMAP asks for was never populated.  :class:`BenchRecorder` fixes
-that: every table reported during a pytest-benchmark session is
-attributed to the bench module that produced it, and at session end
-one ``BENCH_<name>.json`` summary is written per module (``bench_gni``
-→ ``BENCH_gni.json``), each carrying the session's obs metrics
-snapshot when an observability session was active, and one normalized
-record per module is appended to ``bench_history.jsonl``.
+:class:`BenchRecorder` renders the result tables benchmarks report
+(each table also rides pytest-benchmark's ``extra_info``, which
+``benchmarks/generate_report.py`` reads) and, at session end, appends
+one normalized record per bench module to ``bench_history.jsonl``:
+the module's summed test wall time and its deterministic-counter
+deltas.  That file is the one bench record; ``obs regress`` gates it.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -24,39 +21,26 @@ from .session import active
 
 def bench_id(source: str) -> str:
     """``bench_gni`` / ``benchmarks/bench_gni.py`` -> ``gni`` — the
-    history record's bench key (matches ``BENCH_<id>.json``)."""
+    history record's bench key."""
     stem = Path(source).stem
     if stem.startswith("bench_"):
         stem = stem[len("bench_"):]
     return stem
 
 
-def bench_summary_name(source: str) -> str:
-    """``bench_gni`` / ``benchmarks/bench_gni.py`` -> ``BENCH_gni.json``
-    (sources without the ``bench_`` convention keep their stem)."""
-    return f"BENCH_{bench_id(source)}.json"
-
-
 class BenchRecorder:
-    """Collects per-module result tables and flushes obs-backed
-    summaries.
+    """Renders result tables and flushes one bench-history record per
+    bench module.
 
     Parameters
     ----------
-    bench_dir:
-        Directory the ``BENCH_<name>.json`` summaries land in
-        (``benchmarks/`` in a checkout).
     history:
         The ``bench_history.jsonl`` path; None disables the trajectory.
     """
 
-    def __init__(self, bench_dir: Path,
-                 history: Optional[Path] = None) -> None:
-        self.bench_dir = Path(bench_dir)
+    def __init__(self, history: Optional[Path] = None) -> None:
         #: ``bench_history.jsonl`` path; None disables the trajectory.
         self.history = Path(history) if history else None
-        #: module name -> its tables, in report order.
-        self.by_module: Dict[str, List[Dict[str, Any]]] = {}
         #: module name -> summed test-call wall seconds.
         self.module_wall: Dict[str, float] = {}
         #: modules in first-seen order, with the deterministic counter
@@ -100,15 +84,14 @@ class BenchRecorder:
 
     # -- recording -------------------------------------------------------
 
-    def report(self, module: str, benchmark: Any, title: str,
-               header: Iterable[Any],
+    def report(self, benchmark: Any, title: str, header: Iterable[Any],
                rows: Iterable[Iterable[Any]]) -> str:
-        """Record one table under ``module``; returns the printable
-        rendering (same format the session console always printed)."""
+        """Attach one table to ``benchmark`` (when given); returns the
+        printable rendering (same format the session console always
+        printed)."""
         header = list(header)
         rows = [list(row) for row in rows]
         table = {"title": title, "header": header, "rows": rows}
-        self.by_module.setdefault(module, []).append(table)
         if benchmark is not None:
             benchmark.extra_info["table"] = table
         width = max(len(str(cell))
@@ -120,25 +103,6 @@ class BenchRecorder:
         return "\n".join(lines)
 
     # -- flushing --------------------------------------------------------
-
-    def _metrics_snapshot(self) -> Optional[Dict[str, Any]]:
-        sess = active()
-        if sess is None or not len(sess.metrics):
-            return None
-        return sess.metrics.snapshot()
-
-    def _write_summary(self, path: Path,
-                       payload: Dict[str, Any]) -> None:
-        """Write one summary JSON, logging append vs replace (a silent
-        overwrite of a committed BENCH record hid regressions)."""
-        text = json.dumps(payload, indent=2, default=str) + "\n"
-        if path.exists():
-            verb = "unchanged" if path.read_text(
-                encoding="ascii") == text else "replaced"
-        else:
-            verb = "wrote"
-        path.write_text(text, encoding="ascii")
-        self.log.append(f"bench: {verb} {path.name}")
 
     def history_records(self) -> List[Dict[str, Any]]:
         """One normalized history record per bench module seen this
@@ -152,38 +116,21 @@ class BenchRecorder:
             start = self._det_marks[module]
             end = self._det_marks[order[i + 1]] if i + 1 < len(order) \
                 else final
-            det = {name: end[name] - start.get(name, 0.0)
+            det = {name: end[name] - start.get(name, 0)
                    for name in sorted(end)
-                   if end[name] != start.get(name, 0.0)}
+                   if end[name] != start.get(name, 0)}
             records.append(make_record(
                 bench_id(module),
                 wall=round(self.module_wall.get(module, 0.0), 4),
                 det=det))
         return records
 
-    def flush(self) -> List[Path]:
-        """Write per-module summaries and the bench-history trajectory.
-        Returns the summary paths written; ``self.log`` carries the
-        appended/replaced lines (also printed)."""
+    def flush(self) -> List[str]:
+        """Append the session's records to the bench history; returns
+        (and prints) one log line per record, appended or replaced."""
         self.log = []
-        written: List[Path] = []
-        if self.by_module:
-            metrics = self._metrics_snapshot()
-            self.bench_dir.mkdir(parents=True, exist_ok=True)
-            for module in sorted(self.by_module):
-                payload: Dict[str, Any] = {
-                    "source": module,
-                    "recorder": "repro.obs",
-                    "tables": self.by_module[module],
-                }
-                if metrics is not None:
-                    payload["metrics"] = metrics
-                path = self.bench_dir / bench_summary_name(module)
-                self._write_summary(path, payload)
-                written.append(path)
         if self.history is not None and self._module_order:
-            self.log.extend(
-                append_records(self.history, self.history_records()))
+            self.log = append_records(self.history, self.history_records())
         for line in self.log:
             print(line)
-        return written
+        return self.log

@@ -18,12 +18,13 @@ Install a session around any workload::
 Worker buffers
 --------------
 :func:`collecting` is the bridge between the ambient session and the
-fork worker pool: it installs a *fresh buffer session* (mirroring the
-active session's switches) for the duration of a trial batch, and the
-batch returns the buffer's exported spans + metrics snapshot so the
-parent can merge them **in trial order** — the exact same code path
-serial execution uses, which is why parallel and serial runs produce
-byte-identical deterministic traces.
+trial fork pool (:func:`repro.core.runner.batched_trials`): it
+installs a *fresh buffer session* (mirroring the active session's
+switches) for the duration of a trial batch, and the batch returns the
+buffer's exported spans + metrics snapshot so the parent can merge
+them **in trial order** — the exact same code path serial execution
+uses, which is why parallel and serial runs produce byte-identical
+deterministic traces.
 """
 
 from __future__ import annotations
@@ -169,17 +170,13 @@ def use_session(sess: Optional[ObsSession]) -> Iterator[Optional[ObsSession]]:
 
 
 @contextmanager
-def collecting(ctx: Optional[Dict[str, Optional[str]]] = None
-               ) -> Iterator[Optional[ObsSession]]:
+def collecting() -> Iterator[Optional[ObsSession]]:
     """A buffer session for one trial batch (see module docstring).
 
     Yields None — and installs nothing — when observability is off, so
     the disabled path stays a single thread-local read.  The caller
     exports the buffer with :func:`export_collected` and merges it into
-    the real session with :func:`merge_collected`.  Pass a ``ctx`` from
-    :meth:`ObsSession.trace_context` to annotate the buffer's root
-    spans with meta parent links (fork-pool cell workers do, so a
-    stitcher can connect the merged tree even across run directories).
+    the real session with :func:`merge_collected`.
     """
     parent = active()
     if parent is None:
@@ -188,10 +185,7 @@ def collecting(ctx: Optional[Dict[str, Optional[str]]] = None
     buffer = ObsSession(trace=parent.tracer.enabled,
                         metrics=parent.metrics_enabled,
                         profile=None,
-                        max_spans=parent.tracer.max_spans,
-                        trace_id=(ctx or {}).get("trace"))
-    if ctx is not None:
-        buffer.tracer.adopted = dict(ctx)
+                        max_spans=parent.tracer.max_spans)
     with use_session(buffer):
         yield buffer
 

@@ -29,7 +29,7 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(
         host=args.host, port=args.port, queue_limit=args.queue_limit,
         batch_max=args.batch_max, pool_threads=args.pool_threads,
-        run_workers=args.run_workers, default_engine=args.engine,
+        default_engine=args.engine,
         timeout=args.timeout, drain_timeout=args.drain_timeout,
         cache_capacity=args.cache_capacity)
 
@@ -357,8 +357,6 @@ def add_serve_parser(sub: "argparse._SubParsersAction") -> None:
                    help="most jobs one batcher sweep coalesces")
     p.add_argument("--pool-threads", type=int, default=2,
                    help="executor threads running trial batches")
-    p.add_argument("--run-workers", type=int, default=1,
-                   help="run_trials worker processes per batch")
     p.add_argument("--engine", default="python",
                    choices=["python", "numpy"],
                    help="engine for jobs that do not name one")

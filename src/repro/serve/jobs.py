@@ -116,8 +116,7 @@ def result_payload(job: JobSpec,
     return result
 
 
-def execute_job(job: JobSpec, resolved: ResolvedInstance, *,
-                workers: int = 1
+def execute_job(job: JobSpec, resolved: ResolvedInstance
                 ) -> Tuple[Dict[str, Any], AcceptanceEstimate]:
     """Run one job on a (shared, possibly cached) resolved instance.
 
@@ -128,6 +127,6 @@ def execute_job(job: JobSpec, resolved: ResolvedInstance, *,
     from ..lab.spec import PROVERS
     prover = PROVERS[job.prover](resolved.protocol)
     estimate = run_trials(resolved.protocol, resolved.instance, prover,
-                          job.trials, job.seed, workers=workers,
-                          context=resolved.context, engine=job.engine)
+                          job.trials, job.seed, context=resolved.context,
+                          engine=job.engine)
     return result_payload(job, estimate), estimate

@@ -66,8 +66,6 @@ class ServeConfig:
     batch_max: int = 32
     #: executor threads running ``run_trials`` batches.
     pool_threads: int = 2
-    #: ``workers=`` forwarded to ``run_trials`` (1 = in-thread).
-    run_workers: int = 1
     #: engine for jobs that did not name one explicitly.
     default_engine: str = "python"
     #: default per-request deadline, seconds.
@@ -90,8 +88,6 @@ class ServeConfig:
             raise ValueError("batch_max must be positive")
         if self.pool_threads < 1:
             raise ValueError("pool_threads must be positive")
-        if self.run_workers < 1:
-            raise ValueError("run_workers must be positive")
         if self.timeout <= 0 or self.drain_timeout <= 0:
             raise ValueError("timeouts must be positive")
         if self.metrics_interval < 0:
@@ -337,9 +333,8 @@ class VerifyService:
                 with adopt_context(pending.ctx,
                                    trace=pending.obs_trace,
                                    metrics=pending.obs_metrics) as buf:
-                    result, estimate = execute_job(
-                        request.job, resolved,
-                        workers=self.config.run_workers)
+                    result, estimate = execute_job(request.job,
+                                                   resolved)
             except WireError as exc:
                 outcomes.append((error_response(request.id, exc.code,
                                                 exc.message), 0.0, None))
@@ -467,7 +462,6 @@ class VerifyService:
             "config": {
                 "batch_max": self.config.batch_max,
                 "pool_threads": self.config.pool_threads,
-                "run_workers": self.config.run_workers,
                 "default_engine": self.config.default_engine,
                 "timeout": self.config.timeout,
             },

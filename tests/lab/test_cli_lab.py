@@ -35,9 +35,6 @@ class TestLabRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["specs"][0]["cells"] == 1
 
-    def test_run_workers_flag_parses(self, tmp_path, capsys):
-        assert _run(tmp_path, "--workers", "2") == 0
-
 
 class TestLabCheck:
     def test_check_passes_on_fresh_baseline(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.lab import ResultStore, cell_key, get_spec, run_spec
 from repro.lab.runner import compute_cell, spec_cells
-from repro.lab.store import DETERMINISTIC_FIELDS
+from repro.lab.store import DETERMINISTIC_FIELDS, diff_cells, project
 
 # The cheapest real sweep spec: one 6-vertex cell per grid.
 SPEC = get_spec("E6-order-dmam")
@@ -52,6 +52,26 @@ class TestCellRecords:
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert ResultStore(tmp_path / "nope").load_cells(SPEC) == {}
+
+
+class TestDiffCells:
+    """The one cell comparison behind ``lab check``, ``fleet diff`` and
+    the shard merge."""
+
+    def test_one_sided_cells(self):
+        a = {"k1": _record(n=6), "k2": _record(n=7)}
+        b = {"k2": _record(n=7), "k3": _record(n=8)}
+        assert diff_cells(a, b) == {"only_in_a": ["k1"],
+                                    "only_in_b": ["k3"], "drift": []}
+
+    @pytest.mark.parametrize("field", ["wall", "workers", "engine",
+                                       "shard", "host"])
+    def test_instrumentation_fields_compare_equal(self, field):
+        record = dict(_record(), engine="python", shard=0, host="a")
+        other = dict(record, **{field: "changed"})
+        assert project(other) == project(record)
+        assert diff_cells({"k": record}, {"k": other}) \
+            == {"only_in_a": [], "only_in_b": [], "drift": []}
 
 
 class TestResume:

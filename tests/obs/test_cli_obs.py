@@ -161,3 +161,30 @@ class TestAwkwardInputs:
         assert row["shard"] == 0
         assert row["claimed"] == 1 and row["done"] == 1
         assert row["last_age"] >= 0.0
+
+
+class TestTornRun:
+    """A run cut short mid-write ends in a torn line; the run readers
+    skip it, like every other JSONL reader in the repo."""
+
+    @pytest.fixture
+    def torn(self, recorded, tmp_path):
+        run = tmp_path / "torn"
+        shutil.copytree(recorded, run)
+        for name in ("trace.jsonl", "metrics.jsonl"):
+            path = run / name
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(
+                lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]))
+        return run
+
+    def test_load_run_skips_torn_lines(self, recorded, torn):
+        whole, cut = load_run(recorded), load_run(torn)
+        assert cut.spans == whole.spans[:-1]
+        assert len(cut.metrics) == len(whole.metrics) - 1
+
+    def test_report_and_tail_survive_torn_run(self, torn, capsys):
+        assert main(["obs", "report", str(torn)]) == 0
+        assert main(["obs", "tail", str(torn), "--interval", "0",
+                     "--iterations", "1"]) == 0
+        assert "obs tail ->" in capsys.readouterr().out

@@ -49,6 +49,15 @@ class TestHistoryFile:
                         '{"no": "bench key"}\n')
         assert load_history(path) == [good]
 
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        """A crash mid-append leaves a fragment without a newline; the
+        next record must not be glued to it (and lost on load)."""
+        path = tmp_path / "hist.jsonl"
+        whole = json.dumps(_record("runner", "aaa"), sort_keys=True)
+        path.write_text(whole + "\n" + whole[:len(whole) // 2])
+        append_records(path, [_record("runner", "bbb")])
+        assert [r["sha"] for r in load_history(path)] == ["aaa", "bbb"]
+
     def test_load_missing_file_is_empty(self, tmp_path):
         assert load_history(tmp_path / "absent.jsonl") == []
 
@@ -162,7 +171,7 @@ class TestRecorderHistory:
         """Counter deltas attribute to the module that incremented
         them, independent of which modules ran before."""
         history = tmp_path / "hist.jsonl"
-        recorder = BenchRecorder(tmp_path, history=history)
+        recorder = BenchRecorder(history=history)
         with obs.session() as sess:
             recorder.enter_module("bench_alpha")
             sess.metrics.counter("x/bits").inc(5)
@@ -180,8 +189,23 @@ class TestRecorderHistory:
         assert any("bench_history: appended alpha" in line
                    for line in recorder.log)
 
+    def test_deltas_stay_ints(self, tmp_path):
+        """A counter first bumped inside a module is an int delta, not
+        a float: the history's ``det`` values are exact bit counts."""
+        history = tmp_path / "hist.jsonl"
+        recorder = BenchRecorder(history=history)
+        with obs.session() as sess:
+            recorder.enter_module("bench_alpha")
+            sess.metrics.counter("x/bits").inc(5)
+            recorder.note_duration("bench_alpha", 1.0)
+            recorder.flush()
+        (record,) = load_history(history)
+        assert record["det"] == {"x/bits": 5}
+        assert type(record["det"]["x/bits"]) is int
+        assert '"x/bits": 5}' in history.read_text()
+
     def test_no_history_path_appends_nothing(self, tmp_path):
-        recorder = BenchRecorder(tmp_path)
+        recorder = BenchRecorder()
         with obs.session():
             recorder.enter_module("bench_alpha")
             recorder.flush()

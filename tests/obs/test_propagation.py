@@ -96,6 +96,26 @@ class TestAdoptContext:
         exported = buffer.tracer.export()[0]
         assert "meta" not in deterministic_span(exported)
 
+    def test_buffer_with_context_links_roots(self):
+        """The fleet shape: the wave root stamps the session trace,
+        the shard buffer adopts its context (a forked worker inherits
+        the ambient session, so the buffer mirrors its switches), and
+        the merged export links back to the wave span."""
+        with obs.session() as sess:
+            with sess.span("fleet.wave") as wave:
+                wave.meta["trace"] = sess.trace_id
+                ctx = sess.trace_context()
+            with adopt_context(ctx) as buffer:
+                with buffer.span("fleet.shard"):
+                    pass
+                collected = export_collected(buffer)
+            merge_collected(sess, collected)
+            stitched = stitch_spans(sess.tracer.export())
+        assert stitched["connected"]
+        bucket = stitched["traces"][sess.trace_id]
+        assert bucket["roots"] == ["fleet.wave"]
+        assert bucket["linked"] == 1
+
     def test_switches_inherited_from_parent_session(self):
         with obs.session(trace=False) as sess:
             with adopt_context(sess.new_context()) as buffer:
@@ -110,29 +130,9 @@ class TestCollecting:
                 assert buffer is None
                 assert obs.active() is None
 
-    def test_buffer_with_context_links_roots(self):
-        """The fleet shape: the wave root stamps the session trace,
-        the cell buffer adopts its context (a forked worker inherits
-        the ambient session, so collecting mirrors it), and the merged
-        export links back to the wave span."""
-        with obs.session() as sess:
-            with sess.span("fleet.wave") as wave:
-                wave.meta["trace"] = sess.trace_id
-                ctx = sess.trace_context()
-            with collecting(ctx) as buffer:
-                with buffer.span("fleet.cell"):
-                    pass
-                collected = export_collected(buffer)
-            merge_collected(sess, collected)
-            stitched = stitch_spans(sess.tracer.export())
-        assert stitched["connected"]
-        bucket = stitched["traces"][sess.trace_id]
-        assert bucket["roots"] == ["fleet.wave"]
-        assert bucket["linked"] == 1
-
     def test_merge_preserves_metric_counts(self):
         with obs.session() as sess:
-            with collecting(sess.trace_context()) as buffer:
+            with collecting() as buffer:
                 buffer.metrics.counter("runner/proof_bits").inc(64)
                 collected = export_collected(buffer)
             merge_collected(sess, collected)
