@@ -39,9 +39,11 @@ class TestExhaustive:
             for j in range(i + 1, len(rigid6)):
                 assert not are_isomorphic(rigid6[i], rigid6[j])
 
-    def test_max_size_truncation(self):
-        family = rigid_family_exhaustive(6, max_size=3)
-        assert len(family) == 3
+    def test_max_size_truncation(self, rigid6):
+        # The truncated enumeration is a prefix of the full one: callers
+        # that use only the first classes enumerate only that far.
+        for k in range(1, 9):
+            assert rigid_family_exhaustive(6, max_size=k) == rigid6[:k]
 
     def test_count_rigid_classes(self):
         assert count_rigid_classes(6) == 8

@@ -211,6 +211,65 @@ class TestEncoding:
             seen.add(bits)
 
 
+def _from_adjacency_bits_scan(n, bits, closed=True):
+    """The position-scanning ``Graph.from_adjacency_bits``, kept as the
+    oracle: it returns the graph, or the ``ValueError`` it raises."""
+    edges = []
+    for u in range(n):
+        row = (bits >> (u * n)) & ((1 << n) - 1)
+        diag = row >> u & 1
+        if closed and not diag:
+            return ValueError(f"closed encoding missing self-loop at {u}")
+        if not closed and diag:
+            return ValueError(f"open encoding has self-loop at {u}")
+        for v in range(u + 1, n):
+            if row >> v & 1:
+                edges.append((u, v))
+    graph = Graph(n, edges)
+    if (graph.adjacency_bits() if closed
+            else graph.open_adjacency_bits()) != bits:
+        return ValueError("adjacency bits do not describe an undirected graph")
+    return graph
+
+
+@st.composite
+def _adjacency_cases(draw):
+    """Valid closed and open encodings, each of the three rejections,
+    and arbitrary integers (bits at or above n², negatives)."""
+    g = draw(small_graphs())
+    n = g.n
+    closed = draw(st.booleans())
+    bits = g.adjacency_bits() if closed else g.open_adjacency_bits()
+    kind = draw(st.sampled_from(
+        ["valid", "diagonal", "asymmetric", "arbitrary"]))
+    if kind == "diagonal":
+        # Clears a self-loop of a closed encoding, sets one in an open one.
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        bits ^= 1 << (v * n + v)
+    elif kind == "asymmetric" and n > 1:
+        u, v = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                             min_size=2, max_size=2, unique=True))
+        bits ^= 1 << (u * n + v)
+    elif kind == "arbitrary":
+        bound = 1 << (n * n + 3)
+        bits = draw(st.integers(min_value=-bound, max_value=bound))
+    return n, bits, closed
+
+
+class TestFromAdjacencyBitsEquivalence:
+    @given(_adjacency_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_position_scan(self, case):
+        n, bits, closed = case
+        expected = _from_adjacency_bits_scan(n, bits, closed)
+        if isinstance(expected, ValueError):
+            with pytest.raises(ValueError) as info:
+                Graph.from_adjacency_bits(n, bits, closed)
+            assert str(info.value) == str(expected)
+        else:
+            assert Graph.from_adjacency_bits(n, bits, closed) == expected
+
+
 class TestDunder:
     def test_equality_and_hash(self):
         g1 = Graph(3, [(0, 1)])

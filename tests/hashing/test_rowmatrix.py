@@ -30,6 +30,35 @@ class TestBitsHelpers:
         assert image_bits(0, [1, 0], 2) == 0
 
 
+def _image_bits_scan(bits, mapping, n):
+    """The position-scanning ``image_bits`` loop, kept as the oracle."""
+    out = 0
+    for u in range(n):
+        if (bits >> u) & 1:
+            out |= 1 << mapping[u]
+    return out
+
+
+@st.composite
+def _image_cases(draw):
+    """Bits reaching above ``n`` (and below zero) with arbitrary, often
+    non-injective, mappings into the vertex set."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    mapping = draw(st.lists(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                            min_size=n, max_size=n))
+    bound = 1 << (n + 4)
+    bits = draw(st.integers(min_value=-bound, max_value=bound))
+    return bits, mapping, n
+
+
+class TestImageBitsEquivalence:
+    @given(_image_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_position_scan(self, case):
+        bits, mapping, n = case
+        assert image_bits(bits, mapping, n) == _image_bits_scan(bits, mapping, n)
+
+
 class TestMatrixSum:
     def test_add_row(self):
         m = MatrixSum(3, 7)

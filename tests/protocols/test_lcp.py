@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (Instance, ProtocolViolation, RandomGarbageProver,
                         TamperingProver, run_protocol)
@@ -10,7 +12,70 @@ from repro.graphs import (DSymLayout, Graph, complete_graph, cycle_graph,
                           dsym_graph, dsym_no_instance, path_graph,
                           star_graph)
 from repro.protocols import ConnectivityLCP, DSymLCP, SymLCP
-from repro.protocols.lcp import FIELD_MATRIX, FIELD_RHO, FIELD_SIZE
+from repro.protocols.lcp import (FIELD_MATRIX, FIELD_RHO, FIELD_SIZE,
+                                 _is_automorphism_of_bits)
+
+
+def _is_automorphism_scan(matrix_bits, n, rho):
+    """The entry-by-entry automorphism test, kept as the oracle."""
+    def matrix_row(v):
+        return (matrix_bits >> (v * n)) & ((1 << n) - 1)
+
+    if sorted(rho) != list(range(n)):
+        return False
+    for u in range(n):
+        row = matrix_row(u)
+        for v in range(n):
+            bit = (row >> v) & 1
+            image = (matrix_row(rho[u]) >> rho[v]) & 1
+            if bit != image:
+                return False
+    return True
+
+
+def _closed_under(matrix_bits, n, rho):
+    """The smallest superset of the matrix that the permutation ``rho``
+    maps onto itself, so that the oracle also sees accepting cases."""
+    while True:
+        image = 0
+        for u in range(n):
+            for v in range(n):
+                if matrix_bits >> (u * n + v) & 1:
+                    image |= 1 << (rho[u] * n + rho[v])
+        if image | matrix_bits == matrix_bits:
+            return matrix_bits
+        matrix_bits |= image
+
+
+@st.composite
+def _automorphism_cases(draw):
+    """Arbitrary (not necessarily symmetric) n²-bit matrices for n ≤ 8,
+    with ρ a permutation, a non-permutation or of the wrong length."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    matrix_bits = draw(st.integers(min_value=0, max_value=(1 << n * n) - 1))
+    kind = draw(st.sampled_from(["permutation", "closed", "function",
+                                 "length"]))
+    if kind in ("permutation", "closed"):
+        rho = tuple(draw(st.permutations(range(n))))
+        if kind == "closed":
+            matrix_bits = _closed_under(matrix_bits, n, rho)
+    elif kind == "function":
+        rho = tuple(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                  min_size=n, max_size=n)))
+    else:
+        size = draw(st.integers(min_value=0, max_value=n + 2).filter(
+            lambda k: k != n))
+        rho = tuple(draw(st.permutations(range(size))))
+    return matrix_bits, n, rho
+
+
+class TestAutomorphismOfBits:
+    @given(_automorphism_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_entry_scan(self, case):
+        matrix_bits, n, rho = case
+        assert (_is_automorphism_of_bits(matrix_bits, n, rho)
+                == _is_automorphism_scan(matrix_bits, n, rho))
 
 
 class TestSymLCP:
