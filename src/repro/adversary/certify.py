@@ -436,7 +436,7 @@ def solver_cross_validation(*, seed: int = 2018, trials: int = 300,
     """
     family = LinearHashFamily(m=36, p=37)
     checks = []
-    for graph in rigid_family_exhaustive(6)[:graphs]:
+    for graph in rigid_family_exhaustive(6, max_size=graphs):
         protocol = SymDMAMProtocol(6, family=family)
         instance = Instance(graph)
         solution = _solve_game(protocol, instance,

@@ -317,9 +317,8 @@ class Graph:
                 raise ValueError(f"closed encoding missing self-loop at {u}")
             if not closed and diag:
                 raise ValueError(f"open encoding has self-loop at {u}")
-            for v in range(u + 1, n):
-                if row >> v & 1:
-                    edges.append((u, v))
+            upper = row >> (u + 1) << (u + 1)
+            edges.extend((u, v) for v in bits_of_mask(upper))
         graph = cls(n, edges)
         if (graph.adjacency_bits() if closed
                 else graph.open_adjacency_bits()) != bits:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, bits_of_mask
 
 
 def bits_to_coeffs(bits: int, n: int) -> Tuple[int, ...]:
@@ -31,12 +31,12 @@ def image_bits(bits: int, mapping: Sequence[int], n: int) -> int:
     ``S`` is given by ``bits``; coordinate ``w`` of the result is 1 iff
     some ``u ∈ S`` has ``mapping[u] = w``.  (Set semantics: multiple
     preimages still give 1 — this matches the paper's definition of
-    ``ρ(S)`` as a characteristic vector.)
+    ``ρ(S)`` as a characteristic vector.)  Only the set bits below
+    ``n`` are visited, so a row costs O(popcount), not O(n).
     """
     out = 0
-    for u in range(n):
-        if (bits >> u) & 1:
-            out |= 1 << mapping[u]
+    for u in bits_of_mask(bits & ((1 << n) - 1)):
+        out |= 1 << mapping[u]
     return out
 
 

@@ -46,8 +46,9 @@ KINDS = (KIND_SWEEP, KIND_PACKING, KIND_COLLISION, KIND_EDGECHECK,
 
 @lru_cache(maxsize=1)
 def _rigid6():
+    # Only the first two classes are used; the enumeration stops there.
     from ..graphs import rigid_family_exhaustive
-    return rigid_family_exhaustive(6)
+    return rigid_family_exhaustive(6, max_size=2)
 
 
 def _fixed(expected: int, n: int, family: str) -> None:

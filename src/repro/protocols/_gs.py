@@ -40,7 +40,7 @@ from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
                           ROUND_ARTHUR, bits_for_identifier, bits_for_value,
                           field_cost, sequence_field, uint_fits,
                           uint_tuple_fits)
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, bits_of_mask
 from ..hashing.api import APIChallenge, DistributedAPIHash, gs_output_modulus
 from ..ledger.declare import (CHANNEL_ARTHUR, CHANNEL_MERLIN, CostDeclaration,
                               phase)
@@ -181,10 +181,11 @@ class GSProtocol(Protocol):
     def instance_graphs(self, instance: Instance) -> Tuple[Graph, Graph]:
         """Definition 4: the network ``G₀`` and ``G₁`` from its rows."""
         n = instance.n
+        full = (1 << n) - 1
         edges = []
         for v in range(n):
-            row = instance.input_of(v)
-            edges.extend((v, u) for u in range(v + 1, n) if (row >> u) & 1)
+            upper = instance.input_of(v) & (full >> (v + 1) << (v + 1))
+            edges.extend((v, u) for u in bits_of_mask(upper))
         return instance.graph, Graph(n, edges)
 
     def node_terms(self, v: int, row: int, c: int, tables: Sequence[Any],

@@ -60,6 +60,7 @@ from ..core.model import (Instance, LocalView, NodeMessage,
                           bits_for_value)
 from ..graphs.graph import Graph
 from ..hashing.primes import prime_in_range
+from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, TreeAdvice,
                                      children_of, tree_check)
 from ._gs import (FIELD_CLAIMS, FIELD_ECHO, FIELD_PARTIALS, GS_ROOT,
@@ -103,11 +104,7 @@ def relabeled_encoding(sub: Graph, labeling: Sequence[int],
     ``labeling`` (bit ``π_v·stride + π_u``)."""
     bits = 0
     for v in range(sub.n):
-        row = 0
-        mask = sub.closed_row(v)
-        for u in range(sub.n):
-            if (mask >> u) & 1:
-                row |= 1 << labeling[u]
+        row = image_bits(sub.closed_row(v), labeling, sub.n)
         bits |= row << (labeling[v] * stride)
     return bits
 

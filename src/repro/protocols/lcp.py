@@ -31,6 +31,7 @@ from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
 from ..graphs.automorphism import find_nontrivial_automorphism
 from ..graphs.dumbbell import DSymLayout, dsym_automorphism
 from ..graphs.graph import Graph
+from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, FIELD_ROOT,
                                      honest_tree_advice, tree_check)
 
@@ -48,17 +49,16 @@ def _matrix_row(matrix_bits: int, n: int, v: int) -> int:
 
 def _is_automorphism_of_bits(matrix_bits: int, n: int,
                              rho: Sequence[int]) -> bool:
-    """Whether ``rho`` is an automorphism of the matrix-encoded graph."""
+    """Whether ``rho`` is an automorphism of the matrix-encoded graph.
+
+    Row by row: ρ maps row u onto row ρ(u), i.e. ρ(N(u)) = N(ρ(u)).
+    Since ρ is a bijection this is the entry test M[u][v] = M[ρu][ρv].
+    """
     if sorted(rho) != list(range(n)):
         return False
-    for u in range(n):
-        row = _matrix_row(matrix_bits, n, u)
-        for v in range(n):
-            bit = (row >> v) & 1
-            image = (_matrix_row(matrix_bits, n, rho[u]) >> rho[v]) & 1
-            if bit != image:
-                return False
-    return True
+    rows = [_matrix_row(matrix_bits, n, u) for u in range(n)]
+    return all(image_bits(rows[u], rho, n) == rows[rho[u]]
+               for u in range(n))
 
 
 class SymLCP(Protocol):

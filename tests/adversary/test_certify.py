@@ -82,7 +82,7 @@ class TestExactScoring:
         """On an ablation-sized family every committed adversary gets an
         exact (all-seeds) score, and none exceeds the game value."""
         family = LinearHashFamily(m=36, p=37)
-        graph = rigid_family_exhaustive(6)[0]
+        graph = rigid_family_exhaustive(6, max_size=1)[0]
         battery = [LabeledInstance("rigid6[0]", Instance(graph), False)]
         report = certify_protocol(
             SymDMAMProtocol(6, family=family), battery, trials=20,

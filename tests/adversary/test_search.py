@@ -17,7 +17,7 @@ FAMILY = LinearHashFamily(m=36, p=37)
 
 @pytest.fixture(scope="module")
 def rigid6():
-    return rigid_family_exhaustive(6)[0]
+    return rigid_family_exhaustive(6, max_size=1)[0]
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestSearch:
 class TestBattery:
     def test_best_of_battery_shapes(self, protocol, rigid6):
         instances = [Instance(rigid6),
-                     Instance(rigid_family_exhaustive(6)[1])]
+                     Instance(rigid_family_exhaustive(6, max_size=2)[1])]
         results = best_of_battery(protocol, instances, trials=16, seed=1,
                                   restarts=0)
         assert len(results) == 2

@@ -39,7 +39,7 @@ FAMILY = LinearHashFamily(m=36, p=37)
 
 @pytest.fixture(scope="module")
 def rigid6():
-    return rigid_family_exhaustive(6)[0]
+    return rigid_family_exhaustive(6, max_size=1)[0]
 
 
 @pytest.fixture(scope="module")
