@@ -138,6 +138,32 @@ class TestEngineParity:
         assert candidate.decide_calls == reference.decide_calls
         assert candidate.decisions == reference.decisions
 
+    def test_split_limb_prime_matches_reference(self):
+        # The draws above keep n <= 10, so p < 2^17 and every table
+        # product takes mulmod's direct branch.  At n=1024 the
+        # Protocol-1 prime has 34 bits: the split-limb branch builds
+        # every power table.
+        n = 1024
+        protocol = SymDMAMProtocol(n)
+        assert protocol.family.p.bit_length() > 31
+        instance = Instance(cycle_graph(n))
+        python = run_trials(protocol, instance, protocol.honest_prover(),
+                            3, 2018, engine="python")
+        numpy = run_trials(protocol, instance, protocol.honest_prover(),
+                           3, 2018, engine="numpy")
+        assert numpy.engine == "numpy"
+        assert python == numpy
+        assert python.decide_calls == numpy.decide_calls
+        # A later trial's full transcript, aggregates included.
+        prover = protocol.honest_prover()
+        context = InstanceContext(instance, protocol)
+        prover.bind_context(context)
+        kernel = find_kernel(protocol, instance, prover, context)
+        reference = run_protocol(protocol, instance,
+                                 protocol.honest_prover(),
+                                 random.Random(2018 + 2), context=context)
+        assert kernel.execution_result(2018, 2, True) == reference
+
     def test_fork_pool_matches_serial_numpy_path(self):
         protocol = SymDMAMProtocol(10)
         instance = Instance(cycle_graph(10))
