@@ -235,27 +235,30 @@ class InstanceContext:
     def tree_levels(self, root: int):
         """Leaf-to-root aggregation schedule of the BFS tree at ``root``.
 
-        A tuple of ``(nodes, parents)`` int64 array pairs, one per
-        depth, deepest level first — the order in which the kernels
-        fold per-node hash terms up the tree (``np.add.at`` per level,
-        duplicates in ``parents`` accumulate).  Prover-side structure,
-        like :meth:`tree_advice` it derives from.
+        ``(nodes, parents, bounds)``: every non-root node and its tree
+        parent as two flat int64 arrays, deepest level first and
+        ascending within a level, with level ``k`` at
+        ``nodes[bounds[k]:bounds[k + 1]]`` — the order in which the
+        kernels fold per-node hash terms up the tree (``np.add.at`` per
+        level, duplicates in ``parents`` accumulate).  Flat because a
+        cycle has n/2 levels, and two small arrays per level would
+        cost more than their entries.  Prover-side structure, like
+        :meth:`tree_advice` it derives from.
         """
         def build():
             from .kernels._np import require_numpy
             np = require_numpy()
             advice = self.tree_advice(root)
-            by_depth: Dict[int, list] = {}
-            for v, entry in advice.items():
-                if v != root:
-                    by_depth.setdefault(entry.dist, []).append(v)
-            levels = []
-            for dist in sorted(by_depth, reverse=True):
-                nodes = sorted(by_depth[dist])
-                parents = [advice[v].parent for v in nodes]
-                levels.append((np.asarray(nodes, dtype=np.int64),
-                               np.asarray(parents, dtype=np.int64)))
-            return tuple(levels)
+            order = sorted((v for v in advice if v != root),
+                           key=lambda v: (-advice[v].dist, v))
+            bounds = [k for k in range(len(order))
+                      if k == 0 or advice[order[k]].dist
+                      != advice[order[k - 1]].dist]
+            bounds.append(len(order))
+            return (np.asarray(order, dtype=np.int64),
+                    np.asarray([advice[v].parent for v in order],
+                               dtype=np.int64),
+                    np.asarray(bounds, dtype=np.int64))
         return self.memo(("kernels.tree_levels", root), build)
 
     def memo(self, key: Hashable, factory: Callable[[], Any]) -> Any:

@@ -189,10 +189,14 @@ class _SymAggregateKernel(TrialKernel):
         level accumulate via the unbuffered ``np.add.at``; sums stay
         exact (< n·p < 2⁶²) between the per-level reductions."""
         np = require_numpy()
+        nodes, parents, bounds = self._levels
         values = terms.copy()
-        for nodes, parents in self._levels:
-            np.add.at(values, (slice(None), parents), values[:, nodes])
-            values[:, np.unique(parents)] %= self.p
+        edges = bounds.tolist()
+        for lo, hi in zip(edges, edges[1:]):
+            level_parents = parents[lo:hi]
+            np.add.at(values, (slice(None), level_parents),
+                      values[:, nodes[lo:hi]])
+            values[:, np.unique(level_parents)] %= self.p
         return values
 
     # -- TrialKernel interface -------------------------------------------

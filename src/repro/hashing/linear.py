@@ -19,15 +19,21 @@ Properties (both property-tested in ``tests/hashing``):
 
 Row-matrix inputs: a single-row matrix ``[i, r]`` viewed as a vector in
 ``{0,1}^{n²}`` (coordinate ``i·n + v`` holds ``r_v``) hashes to
-``s^{i·n} · h_s(r)``, computed with one modular exponentiation — no
-n²-length loop.
+``s^{i·n} · h_s(r)`` — no n²-length loop.  Both factors come from two
+per-seed tables, the powers ``s¹…sⁿ`` and the row offsets ``s^{i·n}``,
+built with 2n multiplications once per ``(p, seed, n)`` and kept in a
+small per-process memo: every node of a trial hashes its rows under the
+root's one challenge, so a row costs one lookup per set bit.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Sequence
+from itertools import accumulate, repeat
+from typing import Sequence, Tuple
 
+from ..graphs.graph import bits_of_mask
 from .rowmatrix import MatrixSum
 
 
@@ -127,7 +133,9 @@ class LinearHashFamily:
         """Hash the single-row matrix ``[i, row_bits]`` of an n×n matrix.
 
         The matrix is flattened to m = n² coordinates with coordinate
-        ``i·n + v`` holding entry (i, v); requires ``m >= n²``.
+        ``i·n + v`` holding entry (i, v); requires ``m >= n²``.  The
+        seed must be an ``int`` in ``[0, p)`` (``TypeError`` /
+        ``ValueError`` otherwise, as from ``pow``).
         """
         if n * n > self.m:
             raise ValueError(f"matrix {n}x{n} does not fit dimension m={self.m}")
@@ -135,8 +143,14 @@ class LinearHashFamily:
             raise ValueError(f"row index {i} out of range")
         if row_bits >> n:
             raise ValueError("row has bits beyond column n")
-        return (pow(seed, i * n, self.p)
-                * self.hash_bits(seed, row_bits)) % self.p
+        # Before the memo: 3.0 == 3 hash alike, so a float seed would
+        # leave a float table for the int seed to be served from.
+        if not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, not {type(seed).__name__}")
+        self._check_seed(seed)
+        powers, offsets = _row_tables(self.p, seed, n)
+        return (offsets[i] * sum(map(powers.__getitem__,
+                                     bits_of_mask(row_bits)))) % self.p
 
     # -- batched hashing (numpy trial kernels) ---------------------------
     #
@@ -153,47 +167,38 @@ class LinearHashFamily:
         """``P[t, j] = seeds[t]^(j+1) mod p`` for ``j < count``.
 
         The batched :meth:`power_table` prefix: one column per power,
-        one row per trial seed.  ``count`` may be far below ``m`` —
-        protocol kernels only need the first ``n`` powers plus the
-        stride powers from :meth:`stride_power_batch`.
+        one row per trial seed, filled by doubling.  ``count`` may be
+        far below ``m`` — protocol kernels only need the first ``n``
+        powers plus the stride powers from :meth:`stride_power_batch`.
         """
-        from ..core.kernels._np import mulmod, require_numpy
+        from ..core.kernels._np import require_numpy
         np = require_numpy()
         if not 0 <= count <= self.m:
             raise ValueError(f"count {count} outside [0, m={self.m}]")
         seeds = np.asarray(seeds, dtype=np.int64)
         table = np.empty((seeds.shape[0], count), dtype=np.int64)
-        if count == 0:
-            return table
-        acc = seeds % self.p
-        table[:, 0] = acc
-        for j in range(1, count):
-            acc = mulmod(acc, seeds, self.p)
-            table[:, j] = acc
+        if count:
+            table[:, 0] = seeds % self.p
+            _fill_powers(table, self.p)
         return table
 
     def stride_power_batch(self, seeds, stride: int, count: int):
         """``Q[t, v] = seeds[t]^(v * stride) mod p`` for ``v < count``.
 
         The row-offset factors of :meth:`hash_row_matrix` (``s^{i·n}``)
-        for a whole trial batch: column 0 is all ones, each next column
-        multiplies by ``s^stride``.
+        for a whole trial batch: column 0 is all ones, and columns
+        ``1..count-1`` are the powers of ``s^stride``, filled by
+        doubling.
         """
-        from ..core.kernels._np import mulmod, powmod_column, require_numpy
+        from ..core.kernels._np import powmod_column, require_numpy
         np = require_numpy()
         seeds = np.asarray(seeds, dtype=np.int64)
         table = np.empty((seeds.shape[0], count), dtype=np.int64)
-        if count == 0:
-            return table
-        table[:, 0] = 1 % self.p
-        if count == 1:
-            return table
-        step = powmod_column(seeds, stride, self.p)
-        acc = step
-        table[:, 1] = acc
-        for v in range(2, count):
-            acc = mulmod(acc, step, self.p)
-            table[:, v] = acc
+        if count:
+            table[:, 0] = 1 % self.p
+        if count > 1:
+            table[:, 1] = powmod_column(seeds, stride, self.p)
+            _fill_powers(table[:, 1:], self.p)
         return table
 
     def row_hash_batch(self, seeds, n: int, row_indices, rows01):
@@ -300,6 +305,32 @@ class LinearHashFamily:
     def _check_seed(self, seed: int) -> None:
         if not 0 <= seed < self.p:
             raise ValueError(f"seed {seed} outside [0, {self.p})")
+
+
+@functools.lru_cache(maxsize=4)
+def _row_tables(p: int, seed: int, n: int
+                ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``powers[u] = s^(u+1)`` and ``offsets[i] = s^(i·n)`` mod p for
+    ``u, i < n``: 2n products, memoized per ``(p, seed, n)`` because a
+    trial hashes all its rows under one seed (at most 4 × 2n ints)."""
+    powers = tuple(accumulate(repeat(seed, n), lambda a, s: a * s % p))
+    offsets = tuple(accumulate(repeat(powers[-1], n - 1),
+                               lambda a, s: a * s % p, initial=1))
+    return powers, offsets
+
+
+def _fill_powers(table, p: int) -> None:
+    """Fill ``table[:, j] = table[:, 0]^(j+1) mod p`` by doubling: the
+    filled columns ``[0, k)`` times column ``k-1`` fill ``[k, 2k)``, so
+    ⌈log₂ count⌉ exact ``mulmod`` products (column 0 must be reduced)."""
+    from ..core.kernels._np import mulmod
+    count = table.shape[1]
+    filled = 1
+    while filled < count:
+        width = min(filled, count - filled)
+        table[:, filled:filled + width] = mulmod(
+            table[:, :width], table[:, filled - 1:filled], p)
+        filled += width
 
 
 def collision_seed_count(family: LinearHashFamily,

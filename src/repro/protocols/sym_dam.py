@@ -358,6 +358,9 @@ class AdaptiveCollisionProver(Prover):
         self.last_search_succeeded = False
         chosen: Optional[Tuple[int, ...]] = None
         chosen_seed: Optional[int] = None
+        # h_s(Σ_v [v, N(v)]) depends only on the seed, and candidates
+        # share their roots' seeds: hash the adjacency once per seed.
+        a_totals: Dict[int, int] = {}
         count = 0
         for rho in self._candidates(n):
             if fallback is None:
@@ -369,10 +372,12 @@ class AdaptiveCollisionProver(Prover):
             # root check ties the seed to the root's challenge).
             root = min(v for v in range(n) if rho[v] != v)
             seed = randomness[ROUND_A0][root]
-            a_total = 0
-            for v in graph.vertices:
-                a_total = (a_total + family.hash_row_matrix(
-                    seed, n, v, graph.closed_row(v))) % family.p
+            a_total = a_totals.get(seed)
+            if a_total is None:
+                a_total = sum(family.hash_row_matrix(
+                    seed, n, v, graph.closed_row(v))
+                    for v in graph.vertices) % family.p
+                a_totals[seed] = a_total
             if _hash_of_mapping(family, graph, seed, rho) == a_total:
                 chosen = rho
                 chosen_seed = seed

@@ -19,8 +19,10 @@ import pytest
 
 from repro import (Instance, InstanceContext, estimate_acceptance,
                    run_protocol, run_trials)
+from repro.core.kernels import numpy_available
 from repro.graphs import (SMALLEST_ASYMMETRIC, cycle_graph, dsym_graph,
-                          random_connected_graph, rigid_family_exhaustive)
+                          path_graph, random_connected_graph,
+                          rigid_family_exhaustive, star_graph)
 from repro.graphs.dumbbell import DSymLayout
 from repro.network.spanning_tree import honest_tree_advice
 from repro.protocols import (CommittedMappingProver, DSymDAMProtocol,
@@ -197,6 +199,49 @@ class TestContextCaches:
             for r in protocol.merlin_round_indices()
             if protocol.broadcast_fields(r))
         assert ctx.broadcast_plan(protocol) is plan  # cached by identity
+
+
+def _levels_per_depth(context, root):
+    """The per-level ``tree_levels`` layout — a tuple of ``(nodes,
+    parents)`` int64 array pairs, one per depth, deepest first — kept
+    as the oracle for the flat layout."""
+    import numpy as np
+    advice = context.tree_advice(root)
+    by_depth = {}
+    for v, entry in advice.items():
+        if v != root:
+            by_depth.setdefault(entry.dist, []).append(v)
+    levels = []
+    for dist in sorted(by_depth, reverse=True):
+        nodes = sorted(by_depth[dist])
+        parents = [advice[v].parent for v in nodes]
+        levels.append((np.asarray(nodes, dtype=np.int64),
+                       np.asarray(parents, dtype=np.int64)))
+    return tuple(levels)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestTreeLevels:
+    @pytest.mark.parametrize("graph", [
+        path_graph(1), path_graph(2), path_graph(9), cycle_graph(12),
+        star_graph(7),
+        *(random_connected_graph(n, 0.3, random.Random(seed))
+          for n, seed in ((6, 1), (15, 2), (30, 3), (40, 4)))],
+        ids=["path1", "path2", "path9", "cycle12", "star7", "random6",
+             "random15", "random30", "random40"])
+    def test_flat_layout_matches_per_depth_levels(self, graph):
+        context = InstanceContext(Instance(graph))
+        for root in sorted({0, graph.n // 2, graph.n - 1}):
+            nodes, parents, bounds = context.tree_levels(root)
+            expected = _levels_per_depth(context, root)
+            assert nodes.dtype == parents.dtype == "int64"
+            assert bounds[0] == 0 and bounds[-1] == len(nodes) == graph.n - 1
+            assert len(bounds) - 1 == len(expected)
+            for k, (level_nodes, level_parents) in enumerate(expected):
+                lo, hi = bounds[k], bounds[k + 1]
+                assert nodes[lo:hi].tolist() == level_nodes.tolist()
+                assert parents[lo:hi].tolist() == level_parents.tolist()
+            assert context.tree_levels(root) is context.tree_levels(root)
 
 
 class TestInstrumentation:
