@@ -173,8 +173,8 @@ class CommittedSymGame(GameSpec):
             cached = {
                 v: {FIELD_ROOT: root,
                     sym_dmam.FIELD_RHO: rho[v],
-                    FIELD_PARENT: advice[v].parent,
-                    FIELD_DIST: advice[v].dist}
+                    FIELD_PARENT: advice.parent[v],
+                    FIELD_DIST: advice.dist[v]}
                 for v in self.graph.vertices
             }
             self._m0_cache[key] = cached
@@ -410,8 +410,8 @@ class ForcedMappingGame(GameSpec):
         advice = self.context.tree_advice(root)
         m1 = {
             v: {fixed_map.FIELD_SEED: seed,
-                FIELD_PARENT: advice[v].parent,
-                FIELD_DIST: advice[v].dist,
+                FIELD_PARENT: advice.parent[v],
+                FIELD_DIST: advice.dist[v],
                 fixed_map.FIELD_A: a_values[v],
                 fixed_map.FIELD_B: b_values[v]}
             for v in self.graph.vertices

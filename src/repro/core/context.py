@@ -79,7 +79,7 @@ class InstanceContext:
         self.graph = instance.graph
         self._closed: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._closed_rows: Optional[Tuple[int, ...]] = None
-        self._tree_advice: Dict[int, Dict[int, "TreeAdvice"]] = {}
+        self._tree_advice: Dict[int, "TreeAdvice"] = {}
         self._automorphism: Any = _UNSET
         self._memo: Dict[Hashable, Any] = {}
         self._validated = False
@@ -140,8 +140,9 @@ class InstanceContext:
 
     # -- prover-side structure (never reaches decide()) ------------------
 
-    def tree_advice(self, root: int) -> Dict[int, "TreeAdvice"]:
-        """BFS spanning-tree advice rooted at ``root``, one BFS ever."""
+    def tree_advice(self, root: int) -> "TreeAdvice":
+        """BFS spanning-tree advice rooted at ``root``, one BFS ever:
+        flat ``parent[v]`` / ``dist[v]`` sequences."""
         advice = self._tree_advice.get(root)
         if advice is None:
             from ..network.spanning_tree import honest_tree_advice
@@ -233,32 +234,33 @@ class InstanceContext:
                          build)
 
     def tree_levels(self, root: int):
-        """Leaf-to-root aggregation schedule of the BFS tree at ``root``.
+        """The BFS tree at ``root`` laid out for one prefix sum.
 
-        ``(nodes, parents, bounds)``: every non-root node and its tree
-        parent as two flat int64 arrays, deepest level first and
-        ascending within a level, with level ``k`` at
-        ``nodes[bounds[k]:bounds[k + 1]]`` — the order in which the
-        kernels fold per-node hash terms up the tree (``np.add.at`` per
-        level, duplicates in ``parents`` accumulate).  Flat because a
-        cycle has n/2 levels, and two small arrays per level would
-        cost more than their entries.  Prover-side structure, like
-        :meth:`tree_advice` it derives from.
+        ``(order, ends)``: the vertices in a DFS preorder, and for each
+        position ``i`` the end of the subtree run starting there, so
+        ``order[i:ends[i]]`` is the subtree of ``order[i]`` — the
+        kernels fold per-node hash terms up the tree as differences of
+        one cumulative sum.  Two int64 arrays of n entries whatever the
+        depth.  Prover-side structure, like :meth:`tree_advice`.
         """
         def build():
             from .kernels._np import require_numpy
             np = require_numpy()
-            advice = self.tree_advice(root)
-            order = sorted((v for v in advice if v != root),
-                           key=lambda v: (-advice[v].dist, v))
-            bounds = [k for k in range(len(order))
-                      if k == 0 or advice[order[k]].dist
-                      != advice[order[k - 1]].dist]
-            bounds.append(len(order))
+            parent = self.tree_advice(root).parent
+            children = [[] for _ in parent]
+            for v, up in enumerate(parent):
+                if up != v:
+                    children[up].append(v)
+            order, stack = [], [root]
+            while stack:
+                order.append(stack.pop())
+                stack.extend(children[order[-1]])
+            size = [1] * len(parent)
+            for v in reversed(order[1:]):
+                size[parent[v]] += size[v]
             return (np.asarray(order, dtype=np.int64),
-                    np.asarray([advice[v].parent for v in order],
-                               dtype=np.int64),
-                    np.asarray(bounds, dtype=np.int64))
+                    np.asarray([i + size[v] for i, v in enumerate(order)],
+                               dtype=np.int64))
         return self.memo(("kernels.tree_levels", root), build)
 
     def memo(self, key: Hashable, factory: Callable[[], Any]) -> Any:

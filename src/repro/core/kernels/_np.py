@@ -20,6 +20,8 @@ the python reference engine can reach at all.
 
 from __future__ import annotations
 
+import random
+from math import isqrt
 from typing import Any, Optional
 
 from ...hashing.primes import UnsupportedModulus
@@ -97,3 +99,38 @@ def powmod_column(base: Any, exponent: int, p: int) -> Any:
         acc = mulmod(acc, acc, p)
         e >>= 1
     return result
+
+
+def randrange_batch(rng: random.Random, p: int, count: int) -> Any:
+    """``[rng.randrange(p) for _ in range(count)]`` as an int64 array
+    (``0 < p < 2⁶³``), read from bulk ``getrandbits`` calls.
+
+    ``randrange(p)`` retries ``getrandbits(bits(p))`` until the value
+    is below ``p``.  Each try takes the top bits of one 32-bit Mersenne
+    Twister word, or above 32 bits a whole word plus the top bits of
+    the next as its high part, and ``getrandbits(32·w)`` returns the
+    next ``w`` words, least significant first.  So the draws are the
+    first ``count`` candidates below ``p``.  ``rng`` is consumed past
+    them and must not be drawn from again.
+    """
+    xp = require_numpy()
+    if not 0 < p < 1 << 63:
+        raise ValueError(f"modulus {p} outside (0, 2^63)")
+    k = p.bit_length()
+    words = 1 if k <= 32 else 2
+    out = xp.empty(count, dtype=xp.int64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        # 2^k / p < 2 tries per draw; the margin makes a second call rare.
+        batch = (need << k) // p + 4 * isqrt(need) + 8
+        raw = xp.frombuffer(rng.getrandbits(32 * words * batch).to_bytes(
+            4 * words * batch, "little"), dtype="<u4").astype(xp.int64)
+        if words == 1:
+            raw >>= 32 - k
+        else:
+            raw = raw[0::2] | ((raw[1::2] >> (64 - k)) << 32)
+        kept = raw[raw < p][:need]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    return out

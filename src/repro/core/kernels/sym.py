@@ -9,8 +9,8 @@ that are **pure functions of the instance** (exposed through
    seed — a ``(trials, nodes)`` evaluation of the Theorem-3.2 family
    (:meth:`~repro.hashing.linear.LinearHashFamily.row_hash_batch`,
    one int64 matmul per side),
-2. folding the per-node terms up the spanning tree (one ``np.add.at``
-   per BFS level), and
+2. folding the per-node terms up the spanning tree (one prefix sum
+   over a DFS preorder, in which every subtree is a contiguous run), and
 3. the root's collision check ``a_r == b_r`` — the accept mask.
 
 Every other verifier check (tree shape, broadcast consistency, range
@@ -44,7 +44,7 @@ from ...protocols.sym_dmam import (CommittedMappingProver,
 from ..context import InstanceContext
 from ..model import Instance, Protocol, Prover
 from ..runner import ExecutionResult, Transcript
-from ._np import require_numpy, supported_modulus
+from ._np import randrange_batch, require_numpy, supported_modulus
 from .base import TrialBatch, TrialKernel
 
 
@@ -96,26 +96,26 @@ class _SymAggregateKernel(TrialKernel):
             self._image_rows = image_rows
         self._a_row_index = np.arange(n, dtype=np.int64)
         self._b_row_index = rho_arr
-        self._levels = context.tree_levels(root)
+        self._order, self._ends = context.tree_levels(root)
         advice = context.tree_advice(root)
-        self.parent = tuple(advice[v].parent for v in range(n))
-        self.dist = tuple(advice[v].dist for v in range(n))
+        self.parent = advice.parent
+        self.dist = advice.dist
         # The only root check that is not satisfied by construction
         # besides the collision itself.
         self._root_static_ok = self.rho[root] != root
 
-        # Per-node bit accounting, via the protocol's own meters on
-        # template messages (all transmitted values lie in their
-        # declared domains, so the charge is value-independent).
-        arthur_bits = sum(protocol.arthur_bits(instance, r)
-                          for r in protocol.arthur_round_indices())
-        self.node_bits = tuple(
-            arthur_bits + sum(
-                protocol.merlin_bits(instance, r, message)
-                for r, message in self._template_messages(v))
-            for v in range(n))
-        self._max_bits = max(self.node_bits)
-        self._total_bits = sum(self.node_bits)
+        # Per-node bit accounting, via the protocol's own meters on one
+        # node's template messages: every transmitted value lies in its
+        # declared domain, so the charge is value-independent and the
+        # same at every node.  The trial-0 cross-check still compares
+        # all n charges with the reference engine's.
+        charge = sum(protocol.arthur_bits(instance, r)
+                     for r in protocol.arthur_round_indices())
+        charge += sum(protocol.merlin_bits(instance, r, message)
+                      for r, message in self._template_messages(root))
+        self.node_bits = (charge,) * n
+        self._max_bits = charge
+        self._total_bits = charge * n
 
     # -- subclass layout -------------------------------------------------
 
@@ -141,12 +141,13 @@ class _SymAggregateKernel(TrialKernel):
         tick = time.perf_counter()
         # Per-trial challenge streams, byte-compatible with the
         # reference engine: trial t draws n seeds from
-        # random.Random(seed + t) in vertex order (the Sym provers
-        # never touch the rng, so these are the trial's only draws).
+        # random.Random(seed + t) in vertex order.  The Sym provers
+        # never touch the rng, so these are the trial's only draws and
+        # the bulk draw may consume the stream past them.
         challenges = np.empty((count, n), dtype=np.int64)
         for i in range(count):
-            rng = random.Random(seed + start + i)
-            challenges[i] = [rng.randrange(p) for _ in range(n)]
+            challenges[i] = randrange_batch(
+                random.Random(seed + start + i), p, n)
         arthur_seconds = time.perf_counter() - tick
 
         tick = time.perf_counter()
@@ -184,19 +185,16 @@ class _SymAggregateKernel(TrialKernel):
         }
 
     def _aggregate(self, terms):
-        """Fold per-node terms into subtree sums, leaf levels first —
-        the batched ``honest_aggregates``.  Duplicated parents within a
-        level accumulate via the unbuffered ``np.add.at``; sums stay
-        exact (< n·p < 2⁶²) between the per-level reductions."""
+        """Fold per-node terms into subtree sums — the batched
+        ``honest_aggregates``.  One cumulative sum in DFS preorder;
+        each subtree sum is the difference of two prefix entries.  The
+        sums stay exact below n·p < 2⁶² (``_check_sum_headroom``)."""
         np = require_numpy()
-        nodes, parents, bounds = self._levels
-        values = terms.copy()
-        edges = bounds.tolist()
-        for lo, hi in zip(edges, edges[1:]):
-            level_parents = parents[lo:hi]
-            np.add.at(values, (slice(None), level_parents),
-                      values[:, nodes[lo:hi]])
-            values[:, np.unique(level_parents)] %= self.p
+        prefix = np.zeros((terms.shape[0], self.n + 1), dtype=np.int64)
+        np.cumsum(terms[:, self._order], axis=1, out=prefix[:, 1:])
+        values = np.empty_like(terms)
+        values[:, self._order] = (prefix[:, self._ends]
+                                  - prefix[:, :-1]) % self.p
         return values
 
     # -- TrialKernel interface -------------------------------------------

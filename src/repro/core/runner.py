@@ -108,30 +108,6 @@ class ExecutionResult:
         return sorted(v for v, ok in self.decisions.items() if not ok)
 
 
-def _local_view(protocol: Protocol, instance: Instance, v: int,
-                transcript: Transcript) -> LocalView:
-    """Single-node view construction (kept for callers outside the
-    batched decision loop, e.g. report rendering)."""
-    closed = instance.graph.closed_neighborhood(v)
-    closed_set = set(closed)
-    randomness = {
-        r: {u: vals[u] for u in closed_set if u in vals}
-        for r, vals in transcript.randomness.items()
-    }
-    messages = {
-        r: {u: msgs[u] for u in closed_set if u in msgs}
-        for r, msgs in transcript.messages.items()
-    }
-    return LocalView(
-        node=v,
-        n=instance.n,
-        closed_neighborhood=closed,
-        node_input=instance.input_of(v),
-        randomness=randomness,
-        messages=messages,
-    )
-
-
 def _broadcast_consistent(view: LocalView,
                           plan: Tuple[Tuple[int, Any], ...]) -> bool:
     """The automatic check: every broadcast field must agree across the

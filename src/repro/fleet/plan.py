@@ -17,7 +17,7 @@ log and the shard-local stores act as the resume protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..lab.runner import spec_cells
 from ..lab.spec import ExperimentSpec
@@ -80,8 +80,3 @@ def partition(tasks: Sequence[Task], shards: int) -> List[List[Task]]:
     for index, task in enumerate(tasks):
         buckets[index % shards].append(task)
     return buckets
-
-
-def tasks_jsonable(tasks: Sequence[Task]) -> List[Dict[str, Any]]:
-    return [{"spec": t.spec_name, "n": t.n, "prover": t.prover,
-             "trials": t.trials, "key": t.key} for t in tasks]

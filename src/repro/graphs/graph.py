@@ -11,10 +11,10 @@ Design notes
 * Vertices are always ``0..n-1``.  Named or sparse vertex sets are
   handled one level up (``repro.network.topology`` maps simulator node
   identifiers onto these indices).
-* Edges are stored both as a frozenset of sorted pairs (for equality,
-  hashing and iteration) and as per-vertex adjacency bitmasks (for the
-  O(1) adjacency queries the verifiers' decision functions make in hot
-  loops).
+* Edges are stored once, as per-vertex adjacency bitmasks: the O(1)
+  adjacency queries the verifiers' decision functions make in hot
+  loops read them directly, and :attr:`Graph.edges` derives the set of
+  sorted pairs from them on demand.
 * Following Section 3.1.1 of the paper, protocols work with *closed*
   neighborhoods ("with self-loops for all vertices"): ``N(v)`` includes
   ``v`` itself.  :meth:`Graph.closed_neighborhood` and
@@ -28,11 +28,6 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
-
-
-def _normalize_edge(u: int, v: int) -> Edge:
-    """Return the canonical (sorted) form of an undirected edge."""
-    return (u, v) if u <= v else (v, u)
 
 
 def bits_of_mask(mask: int) -> Tuple[int, ...]:
@@ -67,25 +62,29 @@ class Graph:
         If an endpoint is out of range or an edge is a self-loop.
     """
 
-    __slots__ = ("_n", "_edges", "_adj_masks", "_hash")
+    __slots__ = ("_n", "_adj_masks", "_num_edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        normalized = set()
         masks = [0] * n
+        count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed; closed "
                                  "neighborhoods add implicit self-loops")
-            normalized.add(_normalize_edge(u, v))
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            bit = 1 << v
+            if not masks[u] & bit:
+                masks[u] |= bit
+                masks[v] |= 1 << u
+                count += 1
         self._n = n
-        self._edges: FrozenSet[Edge] = frozenset(normalized)
         self._adj_masks: Tuple[int, ...] = tuple(masks)
+        # Counted here, not per call: the isomorphism search compares
+        # edge counts on every call.
+        self._num_edges = count
         self._hash: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -100,12 +99,13 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
-        return len(self._edges)
+        return self._num_edges
 
     @property
     def edges(self) -> FrozenSet[Edge]:
-        """The edge set, each edge as a sorted pair."""
-        return self._edges
+        """The edge set, each edge as a sorted pair — derived from the
+        adjacency masks on every access, not stored."""
+        return frozenset(self._sorted_edges())
 
     @property
     def vertices(self) -> range:
@@ -242,7 +242,8 @@ class Graph:
         if sorted(mapping) != list(range(self._n)):
             raise ValueError("mapping is not a permutation of the vertex set")
         return Graph(self._n,
-                     ((mapping[u], mapping[v]) for u, v in self._edges))
+                     ((mapping[u], mapping[v])
+                      for u, v in self._sorted_edges()))
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on ``vertices``, relabeled to ``0..k-1``.
@@ -254,7 +255,7 @@ class Graph:
             raise ValueError("duplicate vertices in induced_subgraph")
         for v in vertices:
             self._check_vertex(v)
-        sub_edges = [(index[u], index[v]) for u, v in self._edges
+        sub_edges = [(index[u], index[v]) for u, v in self._sorted_edges()
                      if u in index and v in index]
         return Graph(len(vertices), sub_edges)
 
@@ -266,13 +267,14 @@ class Graph:
 
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         """A new graph with ``extra`` edges added."""
-        return Graph(self._n, itertools.chain(self._edges, extra))
+        return Graph(self._n, itertools.chain(self._sorted_edges(), extra))
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         """Disjoint union; ``other``'s vertices are shifted by ``self.n``."""
-        shifted = ((u + self._n, v + self._n) for u, v in other.edges)
+        shifted = ((u + self._n, v + self._n)
+                   for u, v in other._sorted_edges())
         return Graph(self._n + other.n,
-                     itertools.chain(self._edges, shifted))
+                     itertools.chain(self._sorted_edges(), shifted))
 
     # ------------------------------------------------------------------
     # Encoding
@@ -340,21 +342,29 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._adj_masks == other._adj_masks
 
     def __hash__(self) -> int:
+        # The edge-set hash, not one of the masks: sets of graphs
+        # iterate in hash order, and callers rely on that order.
         if self._hash is None:
-            self._hash = hash((self._n, self._edges))
+            self._hash = hash((self._n, self.edges))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, edges={sorted(self._edges)})"
+        return f"Graph(n={self._n}, edges={list(self._sorted_edges())})"
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._n))
 
     def __len__(self) -> int:
         return self._n
+
+    def _sorted_edges(self) -> Iterator[Edge]:
+        """Every edge ``(u, v)`` with ``u < v``, in lexicographic order."""
+        for u, mask in enumerate(self._adj_masks):
+            for v in bits_of_mask(mask >> (u + 1)):
+                yield u, u + 1 + v
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._n):

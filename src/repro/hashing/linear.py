@@ -272,20 +272,6 @@ class LinearHashFamily:
                 f"({self.p.bit_length()} bits) may overflow int64; use "
                 f"the python engine")
 
-    def hash_vector_batch(self, seeds, coeffs: Sequence[int]):
-        """Batched :meth:`hash_vector`: Horner's rule down the
-        coefficient list, one ``mulmod``/``np.mod`` step per
-        coefficient, over a whole seed batch at once."""
-        from ..core.kernels._np import mulmod, require_numpy
-        np = require_numpy()
-        if len(coeffs) > self.m:
-            raise ValueError("vector longer than dimension m")
-        seeds = np.asarray(seeds, dtype=np.int64)
-        acc = np.zeros_like(seeds)
-        for c in reversed(coeffs):
-            acc = np.mod(mulmod(acc, seeds, self.p) + c % self.p, self.p)
-        return mulmod(acc, seeds, self.p)
-
     def hash_matrix_sum(self, seed: int, matrix: MatrixSum) -> int:
         """Hash a full ``MatrixSum`` (reference implementation for tests).
 

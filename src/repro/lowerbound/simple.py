@@ -240,14 +240,6 @@ class EncodingProtocol(SimpleBridgeProtocol):
         super().__init__(length=max(1, bits))
         self._pairs = list(itertools.combinations(range(inner_n), 2))
 
-    def encode_side(self, graph: Graph, side_offset: int) -> int:
-        """Pack the side's internal edges (relative labels) into an int."""
-        bits = 0
-        for idx, (u, w) in enumerate(self._pairs):
-            if graph.has_edge(u + side_offset, w + side_offset):
-                bits |= 1 << idx
-        return bits
-
     def _side_offset(self, v: int) -> Optional[int]:
         if v in self.layout.side_a:
             return 0

@@ -27,7 +27,7 @@ the honest prover produces anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..core.model import LocalView
 from ..graphs.graph import Graph
@@ -40,13 +40,15 @@ FIELD_DIST = "dist"
 
 @dataclass(frozen=True)
 class TreeAdvice:
-    """Per-node spanning tree advice: parent pointer and root distance."""
+    """One rooted spanning tree as two flat per-vertex sequences:
+    ``parent[v]`` (the root is its own parent) and ``dist[v]``, the
+    root distance."""
 
-    parent: int
-    dist: int
+    parent: Tuple[int, ...]
+    dist: Tuple[int, ...]
 
 
-def honest_tree_advice(graph: Graph, root: int) -> Dict[int, TreeAdvice]:
+def honest_tree_advice(graph: Graph, root: int) -> TreeAdvice:
     """BFS spanning tree advice rooted at ``root`` (graph must be connected).
 
     The root's parent is itself, distance 0.  A single level-order BFS
@@ -54,12 +56,13 @@ def honest_tree_advice(graph: Graph, root: int) -> Dict[int, TreeAdvice]:
     ``Graph.bfs_tree`` / ``Graph.distances_from``, so the advice is
     identical to combining those).
     """
-    advice = {root: TreeAdvice(parent=root, dist=0)}
+    parent = [-1] * graph.n
+    dist = [0] * graph.n
     seen = 1 << root
     queue = [root]
-    dist = 0
+    level = 0
     while queue:
-        dist += 1
+        level += 1
         next_queue = []
         for v in queue:
             # Incremental frontier BFS: mask off already-discovered
@@ -71,12 +74,14 @@ def honest_tree_advice(graph: Graph, root: int) -> Dict[int, TreeAdvice]:
                 low = mask & -mask
                 u = low.bit_length() - 1
                 mask ^= low
-                advice[u] = TreeAdvice(parent=v, dist=dist)
+                parent[u] = v
+                dist[u] = level
                 next_queue.append(u)
         queue = next_queue
-    if len(advice) != graph.n:
+    parent[root] = root
+    if -1 in parent:
         raise ValueError("graph is not connected; no spanning tree exists")
-    return advice
+    return TreeAdvice(parent=tuple(parent), dist=tuple(dist))
 
 
 def tree_check(view: LocalView, round_idx: int, root: int,
@@ -121,16 +126,16 @@ def children_of(view: LocalView, round_idx: int, root: int,
     return result
 
 
-def subtree_vertices(advice: Dict[int, TreeAdvice], v: int) -> List[int]:
+def subtree_vertices(advice: TreeAdvice, v: int) -> List[int]:
     """All vertices in the subtree rooted at ``v`` (honest advice only).
 
     Used by honest provers to compute the partial hash values they owe
     each node, and by tests as the ground truth for Lemma 3.3.
     """
     children: Dict[int, List[int]] = {}
-    for u, adv in advice.items():
-        if adv.parent != u:
-            children.setdefault(adv.parent, []).append(u)
+    for u, parent in enumerate(advice.parent):
+        if parent != u:
+            children.setdefault(parent, []).append(u)
     result = []
     stack = [v]
     while stack:

@@ -44,10 +44,6 @@ WALL_FLOOR = 0.1
 WINDOW = 5
 
 
-def history_path(bench_dir: Path) -> Path:
-    return Path(bench_dir) / HISTORY_FILE
-
-
 def git_sha(repo: Optional[Path] = None) -> str:
     """The short HEAD sha, or ``unknown`` outside a work tree."""
     try:

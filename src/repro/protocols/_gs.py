@@ -520,8 +520,8 @@ class GSProver(Prover):
             msg: NodeMessage = {FIELD_ECHO: echo, FIELD_CLAIMS: claims,
                                 **self._indexed(sums, v)}
             if round_idx == ROUND_M1:
-                msg[FIELD_PARENT] = self._advice[v].parent
-                msg[FIELD_DIST] = self._advice[v].dist
+                msg[FIELD_PARENT] = self._advice.parent[v]
+                msg[FIELD_DIST] = self._advice.dist[v]
             response[v] = msg
         return response
 

@@ -15,7 +15,7 @@ event at the root.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict
 
 from ..core.model import LocalView, ProtocolViolation
 from ..graphs.graph import Graph
@@ -42,7 +42,7 @@ def check_aggregate(view: LocalView, tree_round: int, value_round: int,
     return own_value == total
 
 
-def honest_aggregates(graph: Graph, advice: Mapping[int, TreeAdvice],
+def honest_aggregates(graph: Graph, advice: TreeAdvice,
                       own_term: Callable[[int], int],
                       p: int) -> Dict[int, int]:
     """The honest prover's subtree sums: ``x_v = Σ_{u ∈ T_v} own_term(u)``.
@@ -52,9 +52,9 @@ def honest_aggregates(graph: Graph, advice: Mapping[int, TreeAdvice],
     """
     values = {v: own_term(v) % p for v in graph.vertices}
     # Process deepest-first so children are final before their parent.
-    order = sorted(graph.vertices, key=lambda v: advice[v].dist, reverse=True)
+    order = sorted(graph.vertices, key=lambda v: advice.dist[v], reverse=True)
     for v in order:
-        parent = advice[v].parent
+        parent = advice.parent[v]
         if parent != v:
             values[parent] = (values[parent] + values[v]) % p
     return values

@@ -201,8 +201,8 @@ class ForcedMappingProver(Prover):
         b_values = honest_aggregates(graph, advice, b_term, family.p)
         return {
             v: {FIELD_SEED: seed,
-                FIELD_PARENT: advice[v].parent,
-                FIELD_DIST: advice[v].dist,
+                FIELD_PARENT: advice.parent[v],
+                FIELD_DIST: advice.dist[v],
                 FIELD_A: a_values[v],
                 FIELD_B: b_values[v]}
             for v in graph.vertices

@@ -333,16 +333,16 @@ class MarkedGNIProtocol(GSProtocol):
 
 
 def _subtree_counts(graph: Graph, marks: Mapping[int, int],
-                    advice: Mapping[int, TreeAdvice]
+                    advice: TreeAdvice
                     ) -> Dict[int, Tuple[int, int]]:
     """Per node, the number of 0- and 1-marked vertices in its subtree."""
     acc = {v: [1 if marks[v] == MARK_ZERO else 0,
                1 if marks[v] == MARK_ONE else 0]
            for v in graph.vertices}
-    order = sorted(graph.vertices, key=lambda v: advice[v].dist,
+    order = sorted(graph.vertices, key=lambda v: advice.dist[v],
                    reverse=True)
     for v in order:
-        parent = advice[v].parent
+        parent = advice.parent[v]
         if parent != v:
             acc[parent][0] += acc[v][0]
             acc[parent][1] += acc[v][1]
@@ -401,8 +401,8 @@ class MarkedGSProver(GSProver):
                        for claimed in labelings)
         return {v: {
             FIELD_MARK: marks[v],
-            FIELD_PARENT: advice[v].parent,
-            FIELD_DIST: advice[v].dist,
+            FIELD_PARENT: advice.parent[v],
+            FIELD_DIST: advice.dist[v],
             FIELD_COUNT0: counts[v][0],
             FIELD_COUNT1: counts[v][1],
             FIELD_ECHO: echo,

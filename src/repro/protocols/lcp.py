@@ -300,16 +300,16 @@ class _ConnectivityLCPProver(Prover):
         root = 0
         advice = honest_tree_advice(graph, root)
         sizes = {v: 1 for v in graph.vertices}
-        order = sorted(graph.vertices, key=lambda v: advice[v].dist,
+        order = sorted(graph.vertices, key=lambda v: advice.dist[v],
                        reverse=True)
         for v in order:
-            parent = advice[v].parent
+            parent = advice.parent[v]
             if parent != v:
                 sizes[parent] += sizes[v]
         return {
             v: {FIELD_ROOT: root,
-                FIELD_PARENT: advice[v].parent,
-                FIELD_DIST: advice[v].dist,
+                FIELD_PARENT: advice.parent[v],
+                FIELD_DIST: advice.dist[v],
                 FIELD_SIZE: sizes[v]}
             for v in graph.vertices
         }

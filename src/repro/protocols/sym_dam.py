@@ -197,8 +197,8 @@ def _mapping_response(protocol: SymDAMProtocol, graph: Graph,
         v: {FIELD_RHO_TABLE: rho,
             FIELD_SEED: seed,
             FIELD_ROOT: root,
-            FIELD_PARENT: advice[v].parent,
-            FIELD_DIST: advice[v].dist,
+            FIELD_PARENT: advice.parent[v],
+            FIELD_DIST: advice.dist[v],
             FIELD_A: a_values[v],
             FIELD_B: b_values[v]}
         for v in graph.vertices

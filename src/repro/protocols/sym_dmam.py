@@ -223,8 +223,8 @@ class HonestSymDMAMProver(Prover):
             return {
                 v: {FIELD_ROOT: root,
                     FIELD_RHO: rho[v],
-                    FIELD_PARENT: self._advice[v].parent,
-                    FIELD_DIST: self._advice[v].dist}
+                    FIELD_PARENT: self._advice.parent[v],
+                    FIELD_DIST: self._advice.dist[v]}
                 for v in graph.vertices
             }
         if round_idx == ROUND_M2:
@@ -336,8 +336,8 @@ class CommittedMappingProver(Prover):
             return {
                 v: {FIELD_ROOT: root,
                     FIELD_RHO: rho[v],
-                    FIELD_PARENT: self._advice[v].parent,
-                    FIELD_DIST: self._advice[v].dist}
+                    FIELD_PARENT: self._advice.parent[v],
+                    FIELD_DIST: self._advice.dist[v]}
                 for v in graph.vertices
             }
         if round_idx == ROUND_M2:

@@ -202,22 +202,37 @@ class TestContextCaches:
 
 
 def _levels_per_depth(context, root):
-    """The per-level ``tree_levels`` layout — a tuple of ``(nodes,
-    parents)`` int64 array pairs, one per depth, deepest first — kept
-    as the oracle for the flat layout."""
-    import numpy as np
+    """The BFS tree as per-depth levels — ``(nodes, parents)`` lists,
+    one pair per depth, deepest first, ascending within a depth — read
+    from the tree advice: the oracle the preorder layout must encode."""
     advice = context.tree_advice(root)
     by_depth = {}
-    for v, entry in advice.items():
+    for v, dist in enumerate(advice.dist):
         if v != root:
-            by_depth.setdefault(entry.dist, []).append(v)
+            by_depth.setdefault(dist, []).append(v)
     levels = []
     for dist in sorted(by_depth, reverse=True):
         nodes = sorted(by_depth[dist])
-        parents = [advice[v].parent for v in nodes]
-        levels.append((np.asarray(nodes, dtype=np.int64),
-                       np.asarray(parents, dtype=np.int64)))
-    return tuple(levels)
+        levels.append((nodes, [advice.parent[v] for v in nodes]))
+    return levels
+
+
+def _levels_from_layout(order, ends):
+    """The same per-depth levels, read back from ``tree_levels``'s
+    preorder layout: a vertex's parent is the innermost subtree run
+    that encloses its own, and its depth the number of such runs."""
+    by_depth = {}
+    enclosing = []  # (vertex, end) of the runs around position i
+    for i, (v, end) in enumerate(zip(order.tolist(), ends.tolist())):
+        while enclosing and enclosing[-1][1] <= i:
+            enclosing.pop()
+        assert i < end <= (enclosing[-1][1] if enclosing else len(order))
+        if enclosing:
+            by_depth.setdefault(len(enclosing), []).append(
+                (v, enclosing[-1][0]))
+        enclosing.append((v, end))
+    return [([v for v, _ in sorted(pairs)], [u for _, u in sorted(pairs)])
+            for _, pairs in sorted(by_depth.items(), reverse=True)]
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -232,15 +247,12 @@ class TestTreeLevels:
     def test_flat_layout_matches_per_depth_levels(self, graph):
         context = InstanceContext(Instance(graph))
         for root in sorted({0, graph.n // 2, graph.n - 1}):
-            nodes, parents, bounds = context.tree_levels(root)
-            expected = _levels_per_depth(context, root)
-            assert nodes.dtype == parents.dtype == "int64"
-            assert bounds[0] == 0 and bounds[-1] == len(nodes) == graph.n - 1
-            assert len(bounds) - 1 == len(expected)
-            for k, (level_nodes, level_parents) in enumerate(expected):
-                lo, hi = bounds[k], bounds[k + 1]
-                assert nodes[lo:hi].tolist() == level_nodes.tolist()
-                assert parents[lo:hi].tolist() == level_parents.tolist()
+            order, ends = context.tree_levels(root)
+            assert order.dtype == ends.dtype == "int64"
+            assert sorted(order.tolist()) == list(range(graph.n))
+            assert order[0] == root and ends[0] == graph.n
+            assert _levels_from_layout(order, ends) \
+                == _levels_per_depth(context, root)
             assert context.tree_levels(root) is context.tree_levels(root)
 
 

@@ -46,10 +46,10 @@ class TestLargeNSpanningTree:
         n = 16384
         graph = cycle_graph(n)
         advice = honest_tree_advice(graph, 0)
-        assert len(advice) == n
-        assert advice[0].parent == 0 and advice[0].dist == 0
-        assert max(entry.dist for entry in advice.values()) == n // 2
-        for v, entry in advice.items():
+        assert len(advice.parent) == len(advice.dist) == n
+        assert advice.parent[0] == 0 and advice.dist[0] == 0
+        assert max(advice.dist) == n // 2
+        for v, (parent, dist) in enumerate(zip(advice.parent, advice.dist)):
             if v != 0:
-                assert graph.has_edge(v, entry.parent)
-                assert entry.dist == advice[entry.parent].dist + 1
+                assert graph.has_edge(v, parent)
+                assert dist == advice.dist[parent] + 1

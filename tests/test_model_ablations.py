@@ -85,8 +85,8 @@ class SeedTuningCheater(Prover):
             self._rho = tuple(rho)
             self._advice = honest_tree_advice(graph, root)
             return {v: {FIELD_ROOT: root, FIELD_RHO: self._rho[v],
-                        FIELD_PARENT: self._advice[v].parent,
-                        FIELD_DIST: self._advice[v].dist}
+                        FIELD_PARENT: self._advice.parent[v],
+                        FIELD_DIST: self._advice.dist[v]}
                     for v in graph.vertices}
 
         rho = self._rho
