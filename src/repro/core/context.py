@@ -90,11 +90,17 @@ class InstanceContext:
 
     @property
     def closed_neighborhoods(self) -> Tuple[Tuple[int, ...], ...]:
-        """``closed_neighborhoods[v]`` — the tuple every LocalView gets."""
+        """``closed_neighborhoods[v]`` — the tuple every LocalView gets.
+
+        The members are one shared int object per vertex:
+        ``bits_of_mask`` mints a new int for every position above 256,
+        which would store a vertex once per neighborhood it is in."""
         if self._closed is None:
             graph = self.graph
-            self._closed = tuple(graph.closed_neighborhood(v)
-                                 for v in graph.vertices)
+            vertex = tuple(graph.vertices).__getitem__
+            self._closed = tuple(
+                tuple(map(vertex, graph.closed_neighborhood(v)))
+                for v in graph.vertices)
         return self._closed
 
     @property

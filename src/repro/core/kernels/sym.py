@@ -151,17 +151,20 @@ class _SymAggregateKernel(TrialKernel):
         arthur_seconds = time.perf_counter() - tick
 
         tick = time.perf_counter()
-        seeds = challenges[:, self.root]
+        # Both sides hash under the root's seeds: one table build.  Each
+        # side still gathers on its own, which keeps the transient
+        # (trials, nnz) array at one side's size.
+        tables = self.family.row_tables_batch(challenges[:, self.root], n)
         if self._csr is not None:
             a_terms = self.family.row_hash_batch_csr(
-                seeds, n, self._a_row_index, *self._csr)
+                tables, self._a_row_index, *self._csr)
             b_terms = self.family.row_hash_batch_csr(
-                seeds, n, self._b_row_index, *self._csr_image)
+                tables, self._b_row_index, *self._csr_image)
         else:
             a_terms = self.family.row_hash_batch(
-                seeds, n, self._a_row_index, self._adjacency)
+                tables, self._a_row_index, self._adjacency)
             b_terms = self.family.row_hash_batch(
-                seeds, n, self._b_row_index, self._image_rows)
+                tables, self._b_row_index, self._image_rows)
         a_values = self._aggregate(a_terms)
         b_values = self._aggregate(b_terms)
         merlin_seconds = time.perf_counter() - tick

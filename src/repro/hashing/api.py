@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .linear import LinearHashFamily
 from .primes import next_prime
@@ -154,22 +154,23 @@ class DistributedAPIHash:
         return self.finalize(challenge.a, challenge.b, inner_value)
 
     def preimage_exists(self, challenge: APIChallenge,
-                        encodings: Iterable[int]) -> Optional[int]:
+                        entries: Iterable[Tuple[int, Sequence[int]]]
+                        ) -> Optional[int]:
         """The prover's search: some ``x`` in the set with ``h(x) = y``.
 
-        Returns the first matching encoding, or None.  The prover is
-        computationally unbounded in the model; here we enumerate,
-        with a per-challenge power table so each encoding costs only
-        popcount-many additions.
+        ``entries`` pairs each encoding of the set with the positions
+        of its set bits.  Returns the first matching encoding in their
+        order, or None.  The prover is computationally unbounded in the
+        model; here we enumerate, with a per-challenge power table so
+        each encoding costs one sum over its stored positions.
         """
-        table = self.inner.power_table(challenge.s)
-        offset = challenge.offset_total
-        for bits in encodings:
-            inner_value = (self.inner.hash_bits_with_table(table, bits)
-                           + offset) % self.big_q
-            if self.finalize(challenge.a, challenge.b,
-                             inner_value) == challenge.y:
-                return bits
+        table = self.inner.power_table(challenge.s).__getitem__
+        big_q, q, a, y = self.big_q, self.q, challenge.a, challenge.y
+        # finalize(a, b, H + C) with the offset total C folded in once.
+        shift = a * challenge.offset_total + challenge.b
+        for encoding, positions in entries:
+            if (a * sum(map(table, positions)) + shift) % big_q % q == y:
+                return encoding
         return None
 
 

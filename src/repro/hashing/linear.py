@@ -96,7 +96,9 @@ class LinearHashFamily:
 
     def power_table(self, seed: int) -> Sequence[int]:
         """``[s^1, s^2, ..., s^m] mod p`` — amortizes hashing many inputs
-        under one seed (the GNI prover hashes |S| ≈ 2·n! encodings)."""
+        under one seed (the GNI prover hashes |S| ≈ 2·n! encodings): a
+        bitmask hashes to the sum of the entries at its set-bit
+        positions, mod p."""
         self._check_seed(seed)
         table = [0] * self.m
         acc = 1
@@ -104,17 +106,6 @@ class LinearHashFamily:
             acc = acc * seed % self.p
             table[j] = acc
         return table
-
-    def hash_bits_with_table(self, table: Sequence[int], bits: int) -> int:
-        """Like :meth:`hash_bits` but using a precomputed power table."""
-        acc = 0
-        remaining = bits
-        while remaining:
-            low = remaining & -remaining
-            j = low.bit_length() - 1
-            acc += table[j]
-            remaining ^= low
-        return acc % self.p
 
     def hash_vector(self, seed: int, coeffs: Sequence[int]) -> int:
         """Hash an arbitrary coefficient vector (Horner's rule).
@@ -201,9 +192,25 @@ class LinearHashFamily:
             _fill_powers(table[:, 1:], self.p)
         return table
 
-    def row_hash_batch(self, seeds, n: int, row_indices, rows01):
+    def row_tables_batch(self, seeds, n: int):
+        """``(powers, strides)``: :meth:`power_table_batch` ``(seeds,
+        n)`` and :meth:`stride_power_batch` ``(seeds, n, n)``, the
+        tables the batched row hashes read for the rows of an n×n
+        matrix.  Every row set hashed under the same seeds (a Sym
+        kernel's two sides) reads one build.  Requires ``m >= n²`` and
+        row sums that fit int64 (:meth:`_check_sum_headroom`).
+        """
+        if n * n > self.m:
+            raise ValueError(
+                f"matrix {n}x{n} does not fit dimension m={self.m}")
+        self._check_sum_headroom(n)
+        return (self.power_table_batch(seeds, n),
+                self.stride_power_batch(seeds, n, n))
+
+    def row_hash_batch(self, tables, row_indices, rows01):
         """Batched :meth:`hash_row_matrix` over a (trials, nodes) grid.
 
+        ``tables`` is :meth:`row_tables_batch` ``(seeds, n)``.
         ``rows01`` is a 0/1 array of shape ``(nodes, n)`` whose row
         ``v`` is the characteristic vector the node hashes;
         ``row_indices[v]`` is its row position ``i`` in the n×n matrix.
@@ -214,19 +221,13 @@ class LinearHashFamily:
         """
         from ..core.kernels._np import mulmod, require_numpy
         np = require_numpy()
-        if n * n > self.m:
-            raise ValueError(
-                f"matrix {n}x{n} does not fit dimension m={self.m}")
-        self._check_sum_headroom(n)
-        powers = self.power_table_batch(seeds, n)
-        strides = self.stride_power_batch(seeds, n, n)
+        powers, strides = tables
         rows01 = np.asarray(rows01, dtype=np.int64)
         sums = powers @ rows01.T % self.p
         row_indices = np.asarray(row_indices, dtype=np.int64)
         return mulmod(strides[:, row_indices], sums, self.p)
 
-    def row_hash_batch_csr(self, seeds, n: int, row_indices, indptr,
-                           indices):
+    def row_hash_batch_csr(self, tables, row_indices, indptr, indices):
         """Sparse :meth:`row_hash_batch`: rows as CSR index lists.
 
         ``(indptr, indices)`` describe each node's characteristic
@@ -241,16 +242,11 @@ class LinearHashFamily:
         """
         from ..core.kernels._np import mulmod, require_numpy
         np = require_numpy()
-        if n * n > self.m:
-            raise ValueError(
-                f"matrix {n}x{n} does not fit dimension m={self.m}")
-        self._check_sum_headroom(n)
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         if indptr.shape[0] < 2 or (indptr[1:] <= indptr[:-1]).any():
             raise ValueError("CSR rows must be non-empty and ordered")
-        powers = self.power_table_batch(seeds, n)
-        strides = self.stride_power_batch(seeds, n, n)
+        powers, strides = tables
         sums = np.add.reduceat(powers[:, indices], indptr[:-1],
                                axis=1) % self.p
         row_indices = np.asarray(row_indices, dtype=np.int64)

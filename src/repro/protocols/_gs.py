@@ -20,7 +20,9 @@ counts surviving claims against a threshold (see
   echo, claims and per-repetition sequences, and one indexed
   aggregate check over :func:`~repro.network.spanning_tree.children_of`;
 * the prover's catalog memo, witness search and response assembly;
-* the phase bill behind each variant's ``COST_DECLARATIONS``.
+* the phase bill behind each variant's ``COST_DECLARATIONS``;
+* :func:`relabeler`, the relabeled-matrix encoder every variant's
+  catalog enumerates ``S`` with.
 
 A variant only says how it encodes ``S``: its witness catalog, the
 permutation tables a claim carries, each node's terms of the
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..core.amplify import choose_threshold, threshold_guarantees
 from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
@@ -61,6 +63,34 @@ ROUND_M3 = 3
 GS_ROOT = 0
 
 Witness = Tuple[Any, ...]
+#: An encoding of ``S`` with the positions of its set bits.
+SearchEntry = Tuple[int, Tuple[int, ...]]
+
+
+def relabeler(graph: Graph, stride: int) -> Callable[[Sequence[int]], int]:
+    """The encoder of ``graph``'s relabelings: ``σ ↦`` the closed
+    adjacency matrix of ``σ(graph)``, row ``σ(v)`` at bit offset
+    ``σ(v)·stride`` — bit ``σ(v)·stride + σ(u)`` for every
+    ``u ∈ N[v]``.  The rows' members are decoded once per graph, not
+    once per σ; ``σ`` may be longer than ``graph.n``."""
+    rows = tuple(enumerate(map(graph.closed_neighborhood, graph.vertices)))
+
+    def encode(sigma: Sequence[int]) -> int:
+        bits = 0
+        for v, members in rows:
+            base = sigma[v] * stride
+            for u in members:
+                bits |= 1 << (base + sigma[u])
+        return bits
+    return encode
+
+
+def search_entries(encodings: Iterable[int]) -> Tuple[SearchEntry, ...]:
+    """Each encoding, in order, with its set-bit positions: what
+    :meth:`~repro.hashing.api.DistributedAPIHash.preimage_exists`
+    scans, so a challenge costs one power-table sum per encoding."""
+    return tuple((encoding, bits_of_mask(encoding))
+                 for encoding in encodings)
 
 
 @dataclass(frozen=True)
@@ -447,24 +477,33 @@ class GSProver(Prover):
             protocol.catalog_key,
             lambda: protocol.catalog(*protocol.instance_graphs(instance)))
 
+    def _search_entries(self, instance: Instance) -> Tuple[SearchEntry, ...]:
+        """The catalog's encodings with their set-bit positions, decoded
+        once per instance next to the catalog memo."""
+        return self.acquire_context(instance).memo(
+            (self.protocol.catalog_key, "positions"),
+            lambda: search_entries(self._catalog(instance)))
+
     @staticmethod
     def _echo(batch_random: Mapping[int, Any],
               reps: int) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(batch_random[GS_ROOT][j][1:])
                      for j in range(reps))
 
-    def _witnesses(self, catalog: Dict[int, Witness],
+    def _witnesses(self, instance: Instance,
                    echo: Tuple[Tuple[int, ...], ...],
-                   batch_random: Mapping[int, Any],
-                   n: int) -> List[Optional[Witness]]:
+                   batch_random: Mapping[int, Any]
+                   ) -> List[Optional[Witness]]:
         """Per repetition, the first catalog witness hashing to the
         target (None if the challenge has no preimage in ``S``)."""
+        catalog = self._catalog(instance)
+        entries = self._search_entries(instance)
         found: List[Optional[Witness]] = []
         for j, (s, a, b, y, *_seeds) in enumerate(echo):
-            offsets = tuple(batch_random[v][j][0] for v in range(n))
+            offsets = tuple(batch_random[v][j][0]
+                            for v in range(instance.n))
             encoding = self.protocol.hash.preimage_exists(
-                APIChallenge(s=s, a=a, b=b, y=y, offsets=offsets),
-                catalog.keys())
+                APIChallenge(s=s, a=a, b=b, y=y, offsets=offsets), entries)
             found.append(None if encoding is None else catalog[encoding])
             self.last_claim_flags.append(encoding is not None)
         return found
@@ -492,7 +531,6 @@ class GSProver(Prover):
         a_round = protocol._arthur_of(round_idx)
         if a_round is None:
             raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
-        catalog = self._catalog(instance)
         graph = instance.graph
         if self._advice is None:
             self._advice = self.acquire_context(instance).tree_advice(
@@ -500,7 +538,7 @@ class GSProver(Prover):
         batch_random = randomness[a_round]
         echo = self._echo(batch_random,
                           protocol.batch_sizes[protocol._batch(a_round)])
-        witnesses = self._witnesses(catalog, echo, batch_random, graph.n)
+        witnesses = self._witnesses(instance, echo, batch_random)
         sums: List[Optional[Dict[str, Dict[int, int]]]] = []
         for j, witness in enumerate(witnesses):
             if witness is None:
@@ -537,11 +575,11 @@ def per_repetition_success_rate(g0: Graph, g1: Graph, protocol: GSProtocol,
     :meth:`GSProtocol.repetition_bounds` sandwich; the amplified
     acceptance probability is its exact binomial tail.
     """
-    encodings = list(protocol.catalog(g0, g1))
+    entries = search_entries(protocol.catalog(g0, g1))
     hits = 0
     for _ in range(samples):
         challenge = protocol.hash.sample_challenge(protocol.n, rng)
-        if protocol.hash.preimage_exists(challenge, encodings) is not None:
+        if protocol.hash.preimage_exists(challenge, entries) is not None:
             hits += 1
     return hits / samples
 

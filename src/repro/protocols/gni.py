@@ -62,7 +62,7 @@ from ..hashing.rowmatrix import image_bits
 from ._gs import (FIELD_CLAIMS, FIELD_ECHO, FIELD_PARTIALS,  # noqa: F401
                   GS_ROOT, GNIGuarantees, GSProtocol, GSProver, ROUND_A0,
                   ROUND_A2, ROUND_M1, ROUND_M3, gs_cost_declaration,
-                  per_repetition_success_rate)
+                  per_repetition_success_rate, relabeler)
 
 #: The spanning tree root is fixed publicly; the prover picks nothing.
 GNI_ROOT = GS_ROOT
@@ -85,14 +85,11 @@ def isomorphism_closure_encodings(g0: Graph,
     first witness found.
     """
     n = g0.n
+    encoders = (relabeler(g0, n), relabeler(g1, n))
     catalog: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     for sigma in itertools.permutations(range(n)):
-        for b, graph in ((0, g0), (1, g1)):
-            bits = 0
-            for v in range(n):
-                row = image_bits(graph.closed_row(v), sigma, n)
-                bits |= row << (sigma[v] * n)
-            catalog.setdefault(bits, (b, sigma))
+        for b, encode in enumerate(encoders):
+            catalog.setdefault(encode(sigma), (b, sigma))
     return catalog
 
 

@@ -60,12 +60,11 @@ from ..core.model import (Instance, LocalView, NodeMessage,
                           bits_for_value)
 from ..graphs.graph import Graph
 from ..hashing.primes import prime_in_range
-from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, TreeAdvice,
                                      children_of, tree_check)
 from ._gs import (FIELD_CLAIMS, FIELD_ECHO, FIELD_PARTIALS, GS_ROOT,
                   GSProtocol, GSProver, ROUND_A0, ROUND_A2, ROUND_M1,
-                  ROUND_M3, gs_cost_declaration)
+                  ROUND_M3, gs_cost_declaration, relabeler)
 
 MARK_ZERO = 0
 MARK_ONE = 1
@@ -96,17 +95,6 @@ def marked_subgraph(graph: Graph, marks: Mapping[int, int],
     vertex list mapping subgraph index → original vertex."""
     vertices = [v for v in graph.vertices if marks[v] == mark]
     return graph.induced_subgraph(vertices), vertices
-
-
-def relabeled_encoding(sub: Graph, labeling: Sequence[int],
-                       stride: int) -> int:
-    """The n-stride closed adjacency encoding of ``sub`` relabeled by
-    ``labeling`` (bit ``π_v·stride + π_u``)."""
-    bits = 0
-    for v in range(sub.n):
-        row = image_bits(sub.closed_row(v), labeling, sub.n)
-        bits |= row << (labeling[v] * stride)
-    return bits
 
 
 def _marks(instance: Instance) -> Dict[int, int]:
@@ -161,9 +149,10 @@ class MarkedGNIProtocol(GSProtocol):
         (b, labeling), a 2·k! enumeration."""
         result: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         for b, sub in enumerate((g0, g1)):
+            # n-stride encodings: bit π_v·n + π_u.
+            encode = relabeler(sub, self.n)
             for labeling in itertools.permutations(range(self.k)):
-                encoding = relabeled_encoding(sub, labeling, self.n)
-                result.setdefault(encoding, (b, labeling))
+                result.setdefault(encode(labeling), (b, labeling))
         return result
 
     def instance_graphs(self, instance: Instance) -> Tuple[Graph, Graph]:
@@ -385,8 +374,7 @@ class MarkedGSProver(GSProver):
         echo = self._echo(batch0, reps)
         labelings: List[Optional[Tuple[int, Dict[int, int]]]] = [None] * reps
         if sides[0][0].n == sides[1][0].n == protocol.k:
-            found = self._witnesses(self._catalog(instance), echo, batch0,
-                                    graph.n)
+            found = self._witnesses(instance, echo, batch0)
             for j, witness in enumerate(found):
                 if witness is not None:
                     graph_bit, labeling = witness

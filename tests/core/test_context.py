@@ -173,6 +173,20 @@ class TestContextCaches:
         assert ctx.closed_rows == tuple(
             cycle8.closed_row(v) for v in cycle8.vertices)
 
+    def test_closed_neighborhoods_share_vertex_ints(self):
+        """Above 256 python mints a new int per decoded bit; the cache
+        stores one object per vertex, however many neighborhoods hold
+        it."""
+        from repro.graphs import cycle_graph
+        graph = cycle_graph(600)
+        ctx = InstanceContext(Instance(graph))
+        assert ctx.closed_neighborhoods == tuple(
+            graph.closed_neighborhood(v) for v in graph.vertices)
+        first = {}
+        for members in ctx.closed_neighborhoods:
+            for u in members:
+                assert first.setdefault(u, u) is u
+
     def test_tree_advice_matches_direct(self, cycle8):
         ctx = InstanceContext(Instance(cycle8))
         assert ctx.tree_advice(3) == honest_tree_advice(cycle8, 3)

@@ -8,8 +8,14 @@ import random
 import pytest
 
 from repro.graphs import cycle_graph, path_graph
+from repro.graphs.graph import bits_of_mask
 from repro.hashing import (APIChallenge, DistributedAPIHash,
                            gs_output_modulus, image_bits, is_prime)
+
+
+def _entries(encodings):
+    """``preimage_exists`` input: each encoding with its set bits."""
+    return [(bits, bits_of_mask(bits)) for bits in encodings]
 
 
 @pytest.fixture
@@ -64,7 +70,7 @@ class TestHashing:
             assert 0 <= small_hash.hash_encoding(challenge, bits) < 7
 
     def test_preimage_exists_finds_member(self, small_hash, rng):
-        encodings = list(range(16))  # the full 4-bit input space
+        encodings = _entries(range(16))  # the full 4-bit input space
         found_any = False
         for _ in range(30):
             challenge = small_hash.sample_challenge(4, rng)
@@ -161,8 +167,8 @@ class TestGSModulus:
         q = gs_output_modulus(2 * k)
         h = DistributedAPIHash(m=12, q=q)
         universe = rng.sample(range(1 << 12), 2 * k)
-        s_yes = universe
-        s_no = universe[:k]
+        s_yes = _entries(universe)
+        s_no = s_yes[:k]
         trials = 2500
         yes_hits = no_hits = 0
         for _ in range(trials):

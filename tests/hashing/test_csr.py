@@ -35,8 +35,9 @@ class TestCSRParity:
         dense, indptr, indices = _random_rows(rng, nodes, n)
         row_indices = [rng.randrange(n) for _ in range(nodes)]
         seeds = [family.sample_seed(rng) for _ in range(4)]
-        got_dense = family.row_hash_batch(seeds, n, row_indices, dense)
-        got_csr = family.row_hash_batch_csr(seeds, n, row_indices,
+        tables = family.row_tables_batch(seeds, n)
+        got_dense = family.row_hash_batch(tables, row_indices, dense)
+        got_csr = family.row_hash_batch_csr(tables, row_indices,
                                             indptr, indices)
         assert (got_dense == got_csr).all()
 
@@ -48,8 +49,8 @@ class TestCSRParity:
         dense, indptr, indices = _random_rows(rng, n, n)
         row_indices = list(range(n))
         seeds = [family.sample_seed(rng) for _ in range(3)]
-        got = family.row_hash_batch_csr(seeds, n, row_indices,
-                                        indptr, indices)
+        got = family.row_hash_batch_csr(family.row_tables_batch(seeds, n),
+                                        row_indices, indptr, indices)
         for t, seed in enumerate(seeds):
             for v in range(n):
                 bits = sum(b << u for u, b in enumerate(dense[v]))
@@ -57,10 +58,51 @@ class TestCSRParity:
                                                 bits)
                 assert got[t, v] == expect
 
+    @pytest.mark.parametrize("seed", [1, 11, 2018])
+    def test_shared_tables_equal_two_separate_calls(self, seed):
+        """The Sym kernels' two sides (rows at their own index, and the
+        image rows at ρ's) read one ``row_tables_batch`` build; each
+        side equals a call on its own tables and the scalar hash."""
+        import numpy as np
+        rng = random.Random(seed)
+        n = rng.randint(3, 12)
+        family = LinearHashFamily(m=n * n, p=next_prime(10 * n ** 3))
+        seeds = [family.sample_seed(rng) for _ in range(5)]
+        shared = family.row_tables_batch(seeds, n)
+        rho = list(range(n))
+        rng.shuffle(rho)
+        dense, indptr, indices = _random_rows(rng, n, n)
+        image = [sorted(rho[u] for u in indices[indptr[v]:indptr[v + 1]])
+                 for v in range(n)]
+        image_indices = [u for members in image for u in members]
+        image_dense = [[1 if u in members else 0 for u in range(n)]
+                       for members in image]
+        for row_indices, rows, csr_indices in (
+                (list(range(n)), dense, indices),
+                (rho, image_dense, image_indices)):
+            got = family.row_hash_batch_csr(shared, row_indices, indptr,
+                                            csr_indices)
+            alone = family.row_tables_batch(seeds, n)
+            assert np.array_equal(got, family.row_hash_batch_csr(
+                alone, row_indices, indptr, csr_indices))
+            assert np.array_equal(got, family.row_hash_batch(
+                shared, row_indices, rows))
+            for t, s in enumerate(seeds):
+                for v in range(n):
+                    bits = sum(b << u for u, b in enumerate(rows[v]))
+                    assert got[t, v] == family.hash_row_matrix(
+                        s, n, row_indices[v], bits)
+
+    def test_tables_refuse_matrices_past_the_dimension(self):
+        family = LinearHashFamily(m=8, p=next_prime(1000))
+        with pytest.raises(ValueError, match="does not fit"):
+            family.row_tables_batch([3], 3)
+
     def test_empty_rows_rejected(self):
         family = LinearHashFamily(m=9, p=next_prime(1000))
         with pytest.raises(ValueError, match="non-empty"):
-            family.row_hash_batch_csr([3], 3, [0, 1], [0, 1, 1], [0])
+            family.row_hash_batch_csr(family.row_tables_batch([3], 3),
+                                      [0, 1], [0, 1, 1], [0])
 
 
 class TestContextCSR:

@@ -11,10 +11,10 @@ from repro.graphs import Graph, path_graph, rigid_family_exhaustive
 from repro.protocols import (MARK_NONE, MARK_ONE, MARK_ZERO,
                              MarkedGNIProtocol, marked_instance,
                              marked_subgraph)
+from repro.protocols._gs import relabeler
 from repro.protocols.gni_marked import (FIELD_CLAIMS, FIELD_COUNT0,
                                         FIELD_LABELS, FIELD_MARK,
-                                        FIELD_ZSUMS, ROUND_M1, ROUND_M3,
-                                        relabeled_encoding)
+                                        FIELD_ZSUMS, ROUND_M1, ROUND_M3)
 
 
 def dumbbell_marked(f_a: Graph, f_b: Graph):
@@ -56,13 +56,13 @@ class TestHelpers:
     def test_relabeled_encoding_identity(self, rigid6):
         sub = rigid6[0]
         identity = list(range(6))
-        bits = relabeled_encoding(sub, identity, 6)
+        bits = relabeler(sub, 6)(identity)
         assert bits == sub.adjacency_bits()
 
     def test_relabeled_encoding_permutation(self, rigid6):
         sub = rigid6[0]
         perm = [1, 0, 3, 2, 5, 4]
-        assert relabeled_encoding(sub, perm, 6) == \
+        assert relabeler(sub, 6)(perm) == \
             sub.relabel(perm).adjacency_bits()
 
     def test_marked_instance_validates(self):
