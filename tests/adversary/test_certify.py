@@ -77,6 +77,29 @@ class TestCertifyProtocol:
         assert "PASS" in text and "FAIL" not in text
 
 
+class TestAdversaryPanel:
+    def test_empty_panel_rejected_before_any_trial(self, battery,
+                                                   monkeypatch):
+        """A NO instance with no adversary to run has no soundness
+        verdict, so the call is refused up front rather than returning
+        a report whose verdict cannot be computed."""
+        import repro.adversary.certify as certify_module
+        ran = []
+        real_run_trials = certify_module.run_trials
+
+        def counting_run_trials(*args, **kwargs):
+            ran.append(args[3])
+            return real_run_trials(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "run_trials",
+                            counting_run_trials)
+        protocol = SymDMAMProtocol(battery[0].instance.n)
+        assert any(not item.is_yes for item in battery)
+        with pytest.raises(ValueError, match=protocol.name):
+            certify_protocol(protocol, battery, trials=12, adversaries={})
+        assert ran == []
+
+
 class TestExactScoring:
     def test_ablation_family_records_exact_and_game_values(self):
         """On an ablation-sized family every committed adversary gets an
