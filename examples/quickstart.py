@@ -12,8 +12,7 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro import Instance, SymDMAMProtocol, estimate_acceptance, \
-    run_protocol
+from repro import Instance, SymDMAMProtocol, run_protocol, run_trials
 from repro.graphs import SMALLEST_ASYMMETRIC, cycle_graph
 from repro.protocols import CommittedMappingProver
 
@@ -46,8 +45,8 @@ def main() -> None:
     rigid = SMALLEST_ASYMMETRIC
     protocol6 = SymDMAMProtocol(rigid.n)
     cheater = CommittedMappingProver(protocol6)
-    estimate = estimate_acceptance(protocol6, Instance(rigid), cheater,
-                                   trials=100, rng=rng)
+    estimate = run_trials(protocol6, Instance(rigid), cheater, 100,
+                          rng.getrandbits(64))
     print("\nNO instance (rigid 6-vertex graph), best committed cheater:")
     print(f"  acceptance rate    : {estimate.probability:.3f} "
           f"(soundness bound m/p = "

@@ -29,11 +29,9 @@ paper-versus-measured record of every theorem.
 """
 
 from .core import (AcceptanceEstimate, AndAmplifiedProtocol,
-                   ClassMembershipReport, ExecutionResult, Instance,
-                   InstanceContext, LocalView, Protocol, ProtocolViolation,
-                   Prover, check_completeness, check_soundness,
-                   estimate_acceptance, measure_cost, measure_cost_scaling,
-                   run_protocol, run_trials)
+                   ExecutionResult, Instance, InstanceContext, LocalView,
+                   Protocol, ProtocolViolation, Prover, run_protocol,
+                   run_trials)
 from .graphs import Graph
 from .protocols import (ConnectivityLCP, DSymDAMProtocol, DSymLCP,
                         GNIGoldwasserSipserProtocol, SymDAMProtocol,
@@ -44,7 +42,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AcceptanceEstimate",
     "AndAmplifiedProtocol",
-    "ClassMembershipReport",
     "ConnectivityLCP",
     "DSymDAMProtocol",
     "DSymLCP",
@@ -60,12 +57,7 @@ __all__ = [
     "SymDAMProtocol",
     "SymDMAMProtocol",
     "SymLCP",
-    "check_completeness",
-    "check_soundness",
-    "estimate_acceptance",
     "gni_instance",
-    "measure_cost",
-    "measure_cost_scaling",
     "run_protocol",
     "run_trials",
     "__version__",

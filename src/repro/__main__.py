@@ -150,9 +150,9 @@ def cmd_gni(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     from repro.adversary import (certification_jsonable,
+                                 render_certification,
+                                 render_solver_checks,
                                  standard_certification)
-    from repro.core.report import (render_certification,
-                                   render_solver_checks)
 
     payload = standard_certification(
         seed=args.seed, trials=args.trials, alpha=args.alpha,

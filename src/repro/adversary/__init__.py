@@ -19,12 +19,13 @@ from .game_tree import (ARTHUR_NODE, MERLIN_NODE, GameSolution, GameSpec,
 from .spaces import (AdaptiveSymGame, CommittedSymGame, ForcedMappingGame,
                      SolverInfeasible, build_game, exact_game_value,
                      solve_protocol_game, solver_feasible)
-from .search import (LocalSearchProver, SearchResult, best_of_battery,
+from .search import (LocalSearchProver, SearchResult,
                      commitment_prover_factory)
 from .certify import (AdversaryOutcome, CertificationReport,
                       InstanceCertificate, SolverCheck, analytic_bounds,
                       certification_jsonable, certify_protocol,
-                      default_adversaries, solver_cross_validation,
+                      default_adversaries, render_certification,
+                      render_solver_checks, solver_cross_validation,
                       standard_certification)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

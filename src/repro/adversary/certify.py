@@ -45,7 +45,7 @@ from ..core.provers import (RandomGarbageProver, ReplayProver,
 from ..core.runner import AcceptanceEstimate, run_trials
 from ..graphs import DSymLayout, rigid_family_exhaustive
 from ..hashing.linear import LinearHashFamily
-from ..protocols.analysis import (all_swaps, exact_commit_acceptance,
+from ..protocols.analysis import (exact_commit_acceptance,
                                   optimal_committed_cheater)
 from ..protocols.batteries import (LabeledInstance, dsym_battery,
                                    gni_battery, sym_battery)
@@ -284,12 +284,17 @@ def certify_protocol(protocol: Protocol,
     cannot push the CP lower bound past 2/3 at α = 0.01.
     ``solver_options`` (a dict, possibly empty) additionally runs the
     exact game solver per instance with those adapter options, storing
-    the value where feasible; None skips solving.
+    the value where feasible; None skips solving.  An empty
+    ``adversaries`` panel leaves a NO instance without a verdict, so
+    it raises ``ValueError`` before any trial runs.
     """
     if adversaries is None:
         adversaries = default_adversaries(
             protocol, seed=seed,
             search_trials=max(12, trials // 2), workers=workers)
+    elif not adversaries and any(not item.is_yes for item in battery):
+        raise ValueError(f"certify_protocol({protocol.name}): a NO "
+                         f"instance needs at least one adversary")
     completeness_bound, soundness_bound = analytic_bounds(protocol)
     sess = active()
     outer = nullcontext() if sess is None else sess.span(
@@ -545,3 +550,49 @@ def certification_jsonable(payload: Dict[str, Any]) -> Dict[str, Any]:
                                 for check in solver_checks]),
         "all_certified": payload["all_certified"],
     }
+
+
+def render_certification(report: CertificationReport) -> List[str]:
+    """Text rendering of a certification report."""
+    lines = [f"certification: {report.protocol_name}  "
+             f"alpha={report.alpha} trials={report.trials} "
+             f"seed={report.seed} workers={report.workers}"]
+    if report.analytic_soundness is not None:
+        lines.append(f"  analytic bounds: completeness >= "
+                     f"{report.analytic_completeness:.3f}, soundness <= "
+                     f"{report.analytic_soundness:.3f}")
+    for cert in report.instances:
+        flag = "PASS" if cert.passes else "FAIL"
+        side = "YES" if cert.is_yes else "NO "
+        if cert.is_yes:
+            outcome = cert.outcomes[0]
+            detail = (f"honest {outcome.estimate.accepted}"
+                      f"/{outcome.estimate.trials} "
+                      f"CP lower {cert.certified_lower:.3f}")
+        else:
+            best = cert.best
+            detail = (f"best={best.name} {best.estimate.accepted}"
+                      f"/{best.estimate.trials} "
+                      f"CP upper {cert.certified_upper:.3f}")
+            if best.exact_value is not None:
+                detail += f" exact={best.exact_value}"
+        if cert.game_value is not None:
+            detail += f" game={cert.game_value}"
+        lines.append(f"  [{flag}] {side} {cert.label}: {detail}")
+    lines.append(f"  => {'all certified' if report.all_certified else 'NOT certified'}")
+    return lines
+
+
+def render_solver_checks(checks: Sequence[SolverCheck]) -> List[str]:
+    """Text rendering of the exact-solver cross-validation rows."""
+    lines = ["solver cross-validation (exact vs analysis vs search):"]
+    for check in checks:
+        ok = (check.solver_matches_analysis and check.search_within_game
+              and check.cp_covers_exact)
+        lines.append(
+            f"  [{'PASS' if ok else 'FAIL'}] {check.label} "
+            f"(n={check.n}, p={check.p}, pool={check.pool}): "
+            f"game={check.game_value} analysis={check.analysis_value} "
+            f"search={check.search_value} "
+            f"CP=[{check.cp_lower:.3f}, {check.cp_upper:.3f}]")
+    return lines

@@ -29,11 +29,11 @@ Design points:
 
 * **A real ``Prover``.**  :class:`LocalSearchProver` implements the
   prover interface by delegating to the committed prover for its best
-  found mapping, so it drops into ``check_soundness``, the
-  certification battery, and the fork worker pool like any shipped
-  adversary.  The search runs once per instance (lazily on first
-  response, or explicitly via :meth:`LocalSearchProver.ensure_searched`)
-  and is itself oracle-parallel via ``workers``.
+  found mapping, so it drops into ``run_trials``, the certification
+  panel, and the fork worker pool like any shipped adversary.  The
+  search runs once per instance (lazily on first response, or
+  explicitly via :meth:`LocalSearchProver.ensure_searched`) and is
+  itself oracle-parallel via ``workers``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..core.context import InstanceContext
 from ..core.model import Instance, NodeMessage, Prover
 from ..core.runner import AcceptanceEstimate, run_trials
 from ..obs.session import active
@@ -286,16 +285,3 @@ class LocalSearchProver(Prover):
         return self._inner.respond(instance, round_idx, randomness,
                                    own_messages, rng)
 
-
-def best_of_battery(protocol, instances: Sequence[Instance], *,
-                    trials: int = 48, seed: int = 2018,
-                    restarts: int = 2, workers: int = 1
-                    ) -> List[Tuple[Instance, SearchResult]]:
-    """Run an independent search on every instance; the harness behind
-    the certification battery's ``local-search`` adversary."""
-    results = []
-    for instance in instances:
-        prover = LocalSearchProver(protocol, trials=trials, seed=seed,
-                                   restarts=restarts, workers=workers)
-        results.append((instance, prover.search(instance)))
-    return results

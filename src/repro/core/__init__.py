@@ -1,13 +1,10 @@
-"""The interactive distributed proof model, execution engine,
-amplification and class-membership checking."""
+"""The interactive distributed proof model, execution engine and
+amplification."""
 
 from .amplify import (AndAmplifiedProtocol, binomial_cdf, binomial_pmf,
                       binomial_tail, choose_threshold,
                       clopper_pearson_lower, clopper_pearson_upper,
                       repetitions_for_gap, threshold_guarantees)
-from .classes import (ClassMembershipReport, CostScalingRow, InstanceReport,
-                      check_completeness, check_soundness,
-                      measure_cost_scaling)
 from .context import InstanceContext
 from .model import (Instance, LocalView, NodeMessage, PATTERN_DAM,
                     PATTERN_DAMAM, PATTERN_DMAM, PATTERN_DNP, Protocol,
@@ -15,11 +12,9 @@ from .model import (Instance, LocalView, NodeMessage, PATTERN_DAM,
                     bits_for_identifier, bits_for_value)
 from .provers import (RandomGarbageProver, ReplayProver, TamperingProver,
                       record_responses)
-from .report import (cost_breakdown, describe_rounds,
-                     execution_to_jsonable, render_certification,
-                     render_execution, render_solver_checks)
+from .report import (describe_rounds, execution_to_jsonable,
+                     render_execution)
 from .runner import (AcceptanceEstimate, ExecutionResult, Transcript,
-                     decide_transcript, estimate_acceptance, measure_cost,
-                     run_protocol, run_trials)
+                     decide_transcript, run_protocol, run_trials)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

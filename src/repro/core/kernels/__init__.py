@@ -1,10 +1,10 @@
-"""Vectorized trial kernels — the numpy batch engine's kernel registry.
+"""Vectorized trial kernels — the numpy batch engine.
 
-``run_trials(..., engine="numpy")`` asks this package for a kernel
-matching its ``(protocol, prover, instance)`` triple.  A kernel replays
-whole trial batches as int64 array programs with byte-identical results
-(transcripts, per-node bits, per-trial randomness streams) to the
-reference python engine — see :mod:`repro.core.kernels.base` for the
+``run_trials(..., engine="numpy")`` asks :func:`find_kernel` for a
+kernel matching its ``(protocol, prover, instance)`` triple.  A kernel
+replays whole trial batches as int64 array programs with byte-identical
+results (transcripts, per-node bits, per-trial randomness streams) to
+the reference python engine — see :mod:`repro.core.kernels.base` for the
 contract and :mod:`repro.core.kernels.sym` for the Protocol 1/2
 kernels.  Triples without a kernel (GNI, adaptive/randomized provers,
 paper-sized Protocol-2 primes) fall back to the reference engine
@@ -17,7 +17,7 @@ imports without it and reports availability via
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from ..context import InstanceContext
 from ..model import Instance, Protocol, Prover
@@ -25,12 +25,7 @@ from ._np import (MAX_MODULUS_BITS, UnsupportedModulus, mulmod,
                   numpy_available, powmod_column, require_numpy,
                   supported_modulus)
 from .base import KernelMismatch, TrialBatch, TrialKernel
-
-#: Registry of kernel builders; each returns a kernel or None.  Order
-#: matters only if two builders claim the same triple (none do).
-KERNEL_BUILDERS: List[Callable[[Protocol, Instance, Prover,
-                                InstanceContext],
-                               Optional[TrialKernel]]] = []
+from .sym import build_sym_kernel
 
 
 def find_kernel(protocol: Protocol, instance: Instance, prover: Prover,
@@ -38,22 +33,10 @@ def find_kernel(protocol: Protocol, instance: Instance, prover: Prover,
     """The kernel for this triple, or None → reference engine."""
     if not numpy_available():
         return None
-    for build in KERNEL_BUILDERS:
-        kernel = build(protocol, instance, prover, context)
-        if kernel is not None:
-            return kernel
-    return None
+    return build_sym_kernel(protocol, instance, prover, context)
 
-
-def _register_builtin_kernels() -> None:
-    from .sym import build_sym_kernel
-    KERNEL_BUILDERS.append(build_sym_kernel)
-
-
-_register_builtin_kernels()
 
 __all__ = [
-    "KERNEL_BUILDERS",
     "KernelMismatch",
     "MAX_MODULUS_BITS",
     "TrialBatch",

@@ -67,9 +67,10 @@ class TrialKernel(ABC):
 
     Construction happens once per ``run_trials`` call (arrays are
     memoized on the :class:`InstanceContext`, so repeated calls stay
-    cheap) and must fail by *returning no kernel* from the registry —
-    never by guessing: anything a kernel cannot model byte-exactly
-    belongs to the reference engine.
+    cheap) and must fail by *returning no kernel* from
+    :func:`~repro.core.kernels.find_kernel` — never by guessing:
+    anything a kernel cannot model byte-exactly belongs to the
+    reference engine.
     """
 
     def __init__(self, protocol: Protocol, instance: Instance,

@@ -331,8 +331,9 @@ _SUPPORTED = (
 def build_sym_kernel(protocol: Protocol, instance: Instance,
                      prover: Prover, context: InstanceContext
                      ) -> Optional[TrialKernel]:
-    """The Sym registry entry: a kernel for exactly the (protocol,
-    prover) pairs the batch math models, or None (→ reference engine).
+    """The kernel :func:`~repro.core.kernels.find_kernel` returns: one
+    for exactly the (protocol, prover) pairs the batch math models, or
+    None (→ reference engine).
 
     The prover's own ``batch_plan`` supplies ρ and the root — the same
     memoized choices its ``respond`` would make — and may raise the

@@ -3,8 +3,9 @@
 Turning an :class:`~repro.core.runner.ExecutionResult` into something a
 person can read is most of debugging a protocol: which round carried
 what, which node rejected, where the bits went.  These helpers render
-plain text (no dependencies, safe in any terminal) and are used by the
-examples and tests; nothing in the verification path depends on them.
+plain text (no dependencies, safe in any terminal).  The module also
+holds :func:`execution_cost`, the transcript recompute behind every
+cost gate, and the golden-transcript JSON dump.
 """
 
 from __future__ import annotations
@@ -199,72 +200,3 @@ def execution_to_jsonable(protocol: Protocol, instance: Instance,
                                in result.transcript.messages.items()}),
     }
 
-
-def render_certification(report: Any) -> List[str]:
-    """Text rendering of a certification report.
-
-    Duck-typed against :class:`repro.adversary.certify
-    .CertificationReport` (core must not import the adversary package).
-    """
-    lines = [f"certification: {report.protocol_name}  "
-             f"alpha={report.alpha} trials={report.trials} "
-             f"seed={report.seed} workers={report.workers}"]
-    if report.analytic_soundness is not None:
-        lines.append(f"  analytic bounds: completeness >= "
-                     f"{report.analytic_completeness:.3f}, soundness <= "
-                     f"{report.analytic_soundness:.3f}")
-    for cert in report.instances:
-        flag = "PASS" if cert.passes else "FAIL"
-        side = "YES" if cert.is_yes else "NO "
-        if cert.is_yes:
-            outcome = cert.outcomes[0]
-            detail = (f"honest {outcome.estimate.accepted}"
-                      f"/{outcome.estimate.trials} "
-                      f"CP lower {cert.certified_lower:.3f}")
-        else:
-            best = cert.best
-            detail = (f"best={best.name} {best.estimate.accepted}"
-                      f"/{best.estimate.trials} "
-                      f"CP upper {cert.certified_upper:.3f}")
-            if best.exact_value is not None:
-                detail += f" exact={best.exact_value}"
-        if cert.game_value is not None:
-            detail += f" game={cert.game_value}"
-        lines.append(f"  [{flag}] {side} {cert.label}: {detail}")
-    lines.append(f"  => {'all certified' if report.all_certified else 'NOT certified'}")
-    return lines
-
-
-def render_solver_checks(checks: Any) -> List[str]:
-    """Text rendering of the exact-solver cross-validation rows
-    (duck-typed against ``SolverCheck``)."""
-    lines = ["solver cross-validation (exact vs analysis vs search):"]
-    for check in checks:
-        ok = (check.solver_matches_analysis and check.search_within_game
-              and check.cp_covers_exact)
-        lines.append(
-            f"  [{'PASS' if ok else 'FAIL'}] {check.label} "
-            f"(n={check.n}, p={check.p}, pool={check.pool}): "
-            f"game={check.game_value} analysis={check.analysis_value} "
-            f"search={check.search_value} "
-            f"CP=[{check.cp_lower:.3f}, {check.cp_upper:.3f}]")
-    return lines
-
-
-def cost_breakdown(protocol: Protocol, instance: Instance,
-                   result: ExecutionResult) -> List[str]:
-    """Per-round bit accounting for node 0 (all nodes are uniform in
-    every protocol in this library)."""
-    lines = [f"cost breakdown ({protocol.name}, n={instance.n}):"]
-    total = 0
-    for round_idx, kind in enumerate(protocol.pattern):
-        if kind == ROUND_ARTHUR:
-            bits = protocol.arthur_bits(instance, round_idx)
-            lines.append(f"  round {round_idx} (A): {bits:>8} bits")
-        else:
-            message = result.transcript.messages[round_idx][0]
-            bits = protocol.merlin_bits(instance, round_idx, message)
-            lines.append(f"  round {round_idx} (M): {bits:>8} bits")
-        total += bits
-    lines.append(f"  total          : {total:>8} bits")
-    return lines

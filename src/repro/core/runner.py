@@ -674,29 +674,3 @@ def run_trials(protocol: Protocol, instance: Instance, prover: Prover,
         timed=True,
     )
 
-
-def estimate_acceptance(protocol: Protocol, instance: Instance,
-                        prover: Prover, trials: int,
-                        rng: random.Random, *, workers: int = 1,
-                        context: Optional[InstanceContext] = None,
-                        engine: str = "python") -> AcceptanceEstimate:
-    """Estimate Pr[all nodes accept] over ``trials`` independent runs.
-
-    A convenience wrapper over :func:`run_trials`: the per-trial seed
-    stream is derived from ``rng`` (one 64-bit draw), preserving the
-    historical rng-based interface while gaining context reuse,
-    short-circuiting, optional parallelism and engine selection.
-    """
-    return run_trials(protocol, instance, prover, trials,
-                      rng.getrandbits(64), workers=workers,
-                      context=context, engine=engine)
-
-
-def measure_cost(protocol: Protocol, instance: Instance,
-                 prover: Optional[Prover] = None,
-                 rng: Optional[random.Random] = None) -> int:
-    """Per-node communication (bits) of one honest run — the paper's
-    cost measure for upper bounds."""
-    prover = prover or protocol.honest_prover()
-    rng = rng or random.Random(0)
-    return run_protocol(protocol, instance, prover, rng).max_cost_bits

@@ -13,13 +13,14 @@ import random
 import pytest
 
 from repro.adversary import (certification_jsonable, certify_protocol,
+                             render_certification, render_solver_checks,
                              solver_cross_validation,
                              standard_certification)
-from repro.core import Instance, render_certification, render_solver_checks
+from repro.core import Instance
 from repro.core.runner import _fork_pool_context
-from repro.graphs import rigid_family_exhaustive
+from repro.graphs import SMALLEST_ASYMMETRIC, rigid_family_exhaustive
 from repro.hashing import LinearHashFamily
-from repro.protocols import SymDMAMProtocol
+from repro.protocols import CommittedMappingProver, SymDMAMProtocol
 from repro.protocols.batteries import LabeledInstance, sym_battery
 from repro.__main__ import main
 
@@ -98,6 +99,27 @@ class TestAdversaryPanel:
         with pytest.raises(ValueError, match=protocol.name):
             certify_protocol(protocol, battery, trials=12, adversaries={})
         assert ran == []
+
+    def test_best_adversary_reported(self):
+        """With two adversaries on one NO instance the certificate
+        reports the one accepted more often and the larger CP upper
+        bound, whichever panel position it holds."""
+        protocol = SymDMAMProtocol(6, family=LinearHashFamily(m=36, p=37))
+        battery = [LabeledInstance("rigid6", Instance(SMALLEST_ASYMMETRIC),
+                                   False)]
+        report = certify_protocol(
+            protocol, battery, trials=20, seed=2018,
+            adversaries={
+                "committed-swap":
+                    lambda instance: CommittedMappingProver(protocol),
+                "fixed-swap": lambda instance: CommittedMappingProver(
+                    protocol, mapping=(1, 0, 2, 3, 4, 5))})
+        (certificate,) = report.instances
+        first, second = certificate.outcomes
+        assert first.estimate.accepted < second.estimate.accepted
+        assert certificate.best is second
+        assert certificate.certified_upper == second.cp_upper
+        assert second.cp_upper > first.cp_upper
 
 
 class TestExactScoring:

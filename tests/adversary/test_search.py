@@ -3,8 +3,7 @@ ceiling, and the Prover contract."""
 
 import pytest
 
-from repro.adversary import (LocalSearchProver, best_of_battery,
-                             commitment_prover_factory,
+from repro.adversary import (LocalSearchProver, commitment_prover_factory,
                              solve_protocol_game)
 from repro.core import Instance, run_trials
 from repro.graphs import cycle_graph, rigid_family_exhaustive
@@ -94,16 +93,6 @@ class TestSearch:
 
 
 class TestBattery:
-    def test_best_of_battery_shapes(self, protocol, rigid6):
-        instances = [Instance(rigid6),
-                     Instance(rigid_family_exhaustive(6, max_size=2)[1])]
-        results = best_of_battery(protocol, instances, trials=16, seed=1,
-                                  restarts=0)
-        assert len(results) == 2
-        for instance, result in results:
-            assert instance in instances
-            assert sorted(result.best_mapping) == list(range(6))
-
     def test_yes_instance_search_wins(self):
         # On a symmetric graph the search space contains true
         # automorphisms; with enough restarts the climb lands on one

@@ -17,8 +17,7 @@ import random
 
 import pytest
 
-from repro import (Instance, InstanceContext, estimate_acceptance,
-                   run_protocol, run_trials)
+from repro import Instance, InstanceContext, run_protocol, run_trials
 from repro.core.kernels import numpy_available
 from repro.graphs import (SMALLEST_ASYMMETRIC, cycle_graph, dsym_graph,
                           path_graph, random_connected_graph,
@@ -62,12 +61,12 @@ class TestParallelSerialDeterminism:
                              ids=["sym_dmam", "dsym", "gni"])
     def test_estimate_acceptance_bit_identical(self, make):
         protocol, instance = make()
-        serial = estimate_acceptance(protocol, instance,
-                                     protocol.honest_prover(), 10,
-                                     random.Random(7), workers=1)
-        parallel = estimate_acceptance(protocol, instance,
-                                       protocol.honest_prover(), 10,
-                                       random.Random(7), workers=4)
+        serial = run_trials(protocol, instance, protocol.honest_prover(),
+                            10, random.Random(7).getrandbits(64),
+                            workers=1)
+        parallel = run_trials(protocol, instance, protocol.honest_prover(),
+                              10, random.Random(7).getrandbits(64),
+                              workers=4)
         assert serial == parallel
 
     def test_chunking_independent_of_worker_count(self):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.core import (Instance, RandomGarbageProver, ReplayProver,
-                        TamperingProver, estimate_acceptance,
-                        record_responses, run_protocol)
+                        TamperingProver, record_responses, run_protocol,
+                        run_trials)
 from repro.graphs import cycle_graph
 from repro.protocols import SymDMAMProtocol
 from repro.protocols.sym_dmam import (FIELD_A, FIELD_B, FIELD_RHO,
@@ -27,8 +27,8 @@ def instance():
 class TestRandomGarbage:
     def test_garbage_never_accepted(self, protocol, instance, rng):
         prover = RandomGarbageProver(protocol)
-        estimate = estimate_acceptance(protocol, instance, prover,
-                                       trials=50, rng=rng)
+        estimate = run_trials(protocol, instance, prover, 50,
+                              rng.getrandbits(64))
         assert estimate.probability == 0.0
 
     def test_garbage_covers_all_fields(self, protocol, instance, rng):

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.core import Instance, TamperingProver, run_protocol
-from repro.core.report import cost_breakdown, describe_rounds, \
-    render_execution
+from repro.core.report import describe_rounds, render_execution
 from repro.graphs import cycle_graph
 from repro.protocols import SymDMAMProtocol
 from repro.protocols.sym_dmam import FIELD_RHO, ROUND_M0
@@ -66,14 +65,3 @@ class TestRenderExecution:
         # Hash values mod p (~4-6 digits) exceed a 3-char budget.
         text = render_execution(protocol, instance, result, value_limit=3)
         assert "..." in text
-
-
-class TestCostBreakdown:
-    def test_rows_sum_to_total(self, executed):
-        protocol, instance, result = executed
-        lines = cost_breakdown(protocol, instance, result)
-        assert len(lines) == 5  # header + 3 rounds + total
-        per_round = [int(line.split(":")[1].split()[0])
-                     for line in lines[1:4]]
-        total = int(lines[-1].split(":")[1].split()[0])
-        assert sum(per_round) == total == result.max_cost_bits

@@ -8,8 +8,7 @@ from typing import Dict
 import pytest
 
 from repro.core import (AcceptanceEstimate, Instance, LocalView, Protocol,
-                        ProtocolViolation, Prover, estimate_acceptance,
-                        measure_cost, run_protocol)
+                        ProtocolViolation, Prover, run_protocol, run_trials)
 from repro.graphs import Graph, cycle_graph, path_graph
 
 
@@ -178,19 +177,21 @@ class TestCostAccounting:
         assert result.max_cost_bits == 16
 
     def test_measure_cost(self, protocol, instance):
-        assert measure_cost(protocol, instance) == 16
+        result = run_protocol(protocol, instance, protocol.honest_prover(),
+                              random.Random(0))
+        assert result.max_cost_bits == 16
 
 
 class TestEstimation:
     def test_estimate_perfect_acceptance(self, protocol, instance, rng):
-        estimate = estimate_acceptance(protocol, instance, EchoProver(),
-                                       trials=20, rng=rng)
+        estimate = run_trials(protocol, instance, EchoProver(), 20,
+                              rng.getrandbits(64))
         assert estimate.probability == 1.0
         assert estimate.trials == 20
 
     def test_estimate_zero(self, protocol, instance, rng):
-        estimate = estimate_acceptance(protocol, instance, WrongEchoProver(),
-                                       trials=20, rng=rng)
+        estimate = run_trials(protocol, instance, WrongEchoProver(), 20,
+                              rng.getrandbits(64))
         assert estimate.probability == 0.0
 
     def test_wilson_interval_sane(self):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core import Instance, estimate_acceptance, run_protocol
+from repro.core import Instance, run_protocol, run_trials
 from repro.graphs import (DSymLayout, cycle_graph, dsym_graph,
                           dsym_no_instance, gnp_random_graph, in_dsym,
                           path_graph, star_graph)
@@ -54,9 +54,9 @@ class TestCompleteness:
         graph = dsym_graph(half, r)
         assert in_dsym(graph, 6)
         protocol = DSymDAMProtocol(DSymLayout(6, r))
-        estimate = estimate_acceptance(protocol, Instance(graph),
-                                       protocol.honest_prover(),
-                                       trials=10, rng=rng)
+        estimate = run_trials(protocol, Instance(graph),
+                              protocol.honest_prover(), 10,
+                              rng.getrandbits(64))
         assert estimate.probability == 1.0
 
     def test_rigid_halves_work_too(self, asym6, rng):

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from repro.core import Instance, TamperingProver, estimate_acceptance, \
-    run_protocol
+from repro.core import Instance, TamperingProver, run_protocol, run_trials
 from repro.graphs import (Graph, cycle_graph, disjoint_copies,
                           dumbbell_mirror_map, is_automorphism,
                           lower_bound_dumbbell, path_graph, star_graph,
@@ -43,9 +42,9 @@ class TestCompleteness:
     def test_cycle_rotation_certified(self, rng):
         n = 10
         protocol = FixedMappingProtocol(rotation(n))
-        estimate = estimate_acceptance(
+        estimate = run_trials(
             protocol, Instance(cycle_graph(n)), protocol.honest_prover(),
-            trials=10, rng=rng)
+            10, rng.getrandbits(64))
         assert estimate.probability == 1.0
 
     def test_identity_always_certified(self, rng):

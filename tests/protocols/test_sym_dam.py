@@ -7,8 +7,7 @@ import random
 
 import pytest
 
-from repro.core import Instance, ProtocolViolation, estimate_acceptance, \
-    run_protocol
+from repro.core import Instance, ProtocolViolation, run_protocol, run_trials
 from repro.graphs import (SMALLEST_ASYMMETRIC, complete_graph, cycle_graph,
                           lower_bound_dumbbell, path_graph, star_graph)
 from repro.hashing import LinearHashFamily
@@ -45,9 +44,9 @@ class TestCompleteness:
     ], ids=lambda g: f"n{g.n}e{g.num_edges}")
     def test_symmetric_graphs_always_accepted(self, graph, rng):
         protocol = SymDAMProtocol(graph.n)
-        estimate = estimate_acceptance(
-            protocol, Instance(graph), protocol.honest_prover(),
-            trials=10, rng=rng)
+        estimate = run_trials(
+            protocol, Instance(graph), protocol.honest_prover(), 10,
+            rng.getrandbits(64))
         assert estimate.probability == 1.0
 
     def test_honest_prover_rejects_asymmetric_input(self, asym6, rng):

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from repro.core import (Instance, ProtocolViolation, estimate_acceptance,
-                        run_protocol)
+from repro.core import Instance, ProtocolViolation, run_protocol, run_trials
 from repro.graphs import (SMALLEST_ASYMMETRIC, complete_graph, cycle_graph,
                           double_star, gnp_random_graph, grid_graph,
                           is_symmetric, lower_bound_dumbbell, path_graph,
@@ -51,9 +50,9 @@ class TestCompleteness:
                              ids=lambda g: f"n{g.n}e{g.num_edges}")
     def test_symmetric_graphs_always_accepted(self, graph, rng):
         protocol = SymDMAMProtocol(graph.n)
-        estimate = estimate_acceptance(
-            protocol, Instance(graph), protocol.honest_prover(),
-            trials=15, rng=rng)
+        estimate = run_trials(
+            protocol, Instance(graph), protocol.honest_prover(), 15,
+            rng.getrandbits(64))
         assert estimate.probability == 1.0
 
     def test_random_symmetric_doublings(self, rng):

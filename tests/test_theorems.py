@@ -10,9 +10,8 @@ import random
 
 import pytest
 
-from repro import (Instance, check_completeness, check_soundness,
-                   gni_instance, run_protocol)
-from repro.core import estimate_acceptance
+from repro import Instance, gni_instance, run_protocol, run_trials
+from repro.adversary import certify_protocol, render_certification
 from repro.graphs import (DSymLayout, cycle_graph, dsym_graph,
                           dsym_no_instance, grid_graph,
                           lower_bound_dumbbell, rigid_family_exhaustive,
@@ -23,35 +22,30 @@ from repro.protocols import (AdaptiveCollisionProver, CommittedMappingProver,
                              DSymDAMProtocol, DSymLCP,
                              GNIGoldwasserSipserProtocol, SymDAMProtocol,
                              SymDMAMProtocol, SymLCP)
+from repro.protocols.batteries import LabeledInstance
 
 
 class TestTheorem11_SymInDMAMLogN:
     """Sym ∈ dMAM[O(log n)]."""
 
     def test_definition2_on_instance_battery(self, rigid6):
-        rng = random.Random(11)
         n = 14
-        yes_instances = [
-            ("doubled-rigid", Instance(symmetric_doubled_graph(
-                rigid6[0], bridge_length=2))),
-            ("dumbbell-FF", Instance(lower_bound_dumbbell(
-                rigid6[1], rigid6[1]))),
-        ]
-        no_instances = [
-            ("dumbbell-F1F2", Instance(lower_bound_dumbbell(
-                rigid6[0], rigid6[1]))),
-            ("dumbbell-F2F3", Instance(lower_bound_dumbbell(
-                rigid6[2], rigid6[3]))),
+        battery = [
+            LabeledInstance("doubled-rigid", Instance(
+                symmetric_doubled_graph(rigid6[0], bridge_length=2)), True),
+            LabeledInstance("dumbbell-FF", Instance(lower_bound_dumbbell(
+                rigid6[1], rigid6[1])), True),
+            LabeledInstance("dumbbell-F1F2", Instance(lower_bound_dumbbell(
+                rigid6[0], rigid6[1])), False),
+            LabeledInstance("dumbbell-F2F3", Instance(lower_bound_dumbbell(
+                rigid6[2], rigid6[3])), False),
         ]
         protocol = SymDMAMProtocol(n)
-        completeness = check_completeness(protocol, yes_instances,
-                                          trials=10, rng=rng)
-        soundness = check_soundness(
-            protocol, no_instances,
-            adversaries=[lambda: CommittedMappingProver(protocol)],
-            trials=30, rng=rng)
-        assert completeness.all_pass
-        assert soundness.all_pass
+        report = certify_protocol(
+            protocol, battery, trials=30, seed=11,
+            adversaries={"committed-swap":
+                         lambda instance: CommittedMappingProver(protocol)})
+        assert report.all_certified, render_certification(report)
 
     def test_log_cost_budget(self):
         rng = random.Random(1)
@@ -73,11 +67,11 @@ class TestTheorem13_SymInDAMNLogN:
         protocol = SymDAMProtocol(n)
         yes = Instance(lower_bound_dumbbell(rigid6[0], rigid6[0]))
         no = Instance(lower_bound_dumbbell(rigid6[0], rigid6[1]))
-        assert estimate_acceptance(protocol, yes, protocol.honest_prover(),
-                                   10, rng).probability == 1.0
+        assert run_trials(protocol, yes, protocol.honest_prover(), 10,
+                          rng.getrandbits(64)).probability == 1.0
         adversary = AdaptiveCollisionProver(protocol, search="swaps")
-        assert estimate_acceptance(protocol, no, adversary,
-                                   15, rng).probability == 0.0
+        assert run_trials(protocol, no, adversary, 15,
+                          rng.getrandbits(64)).probability == 0.0
 
     def test_n_log_n_cost_budget(self):
         rng = random.Random(2)
@@ -120,10 +114,10 @@ class TestTheorem12_ExponentialSeparation:
         protocol = DSymDAMProtocol(layout)
         yes = Instance(dsym_graph(asym6, 2))
         no = Instance(dsym_no_instance(asym6, cycle_graph(6), 2))
-        assert estimate_acceptance(protocol, yes, protocol.honest_prover(),
-                                   10, rng).probability == 1.0
-        assert estimate_acceptance(protocol, no, protocol.honest_prover(),
-                                   30, rng).probability < 1 / 3
+        assert run_trials(protocol, yes, protocol.honest_prover(), 10,
+                          rng.getrandbits(64)).probability == 1.0
+        assert run_trials(protocol, no, protocol.honest_prover(), 30,
+                          rng.getrandbits(64)).probability < 1 / 3
 
 
 class TestTheorem14_LowerBoundMachinery:
