@@ -53,10 +53,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..core.context import InstanceContext
 from ..core.model import Instance, NodeMessage, Protocol
 from ..core.runner import Transcript, decide_transcript
-from ..hashing.rowmatrix import image_bits
-from ..network.spanning_tree import FIELD_DIST, FIELD_PARENT, FIELD_ROOT
 from ..protocols import fixed_map, sym_dam, sym_dmam
-from ..protocols._tree_hash import honest_aggregates
+from ..protocols._tree_hash import (FIELD_A, FIELD_B, adjacency_aggregates,
+                                    image_aggregates)
 from ..protocols.analysis import all_swaps
 from .game_tree import GameSpec, GameSolution, History, solve_game
 
@@ -69,6 +68,8 @@ TOKEN_B_SHIFT = "b+1"
 
 _ALL_TOKENS = (TOKEN_TRUTHFUL, TOKEN_ECHO_SHIFT, TOKEN_A_SHIFT,
                TOKEN_B_SHIFT)
+#: The root field each aggregate-corrupting token shifts.
+_SHIFTED_FIELD = {TOKEN_A_SHIFT: FIELD_A, TOKEN_B_SHIFT: FIELD_B}
 
 #: Candidate pools accepted by the adapters.
 Candidates = Union[str, Iterable[Sequence[int]]]
@@ -93,6 +94,20 @@ def _candidate_pool(candidates: Candidates, n: int) -> List[Tuple[int, ...]]:
         if len(rho) != n:
             raise ValueError("candidate mappings must cover every vertex")
     return [rho for rho in pool if rho != identity]
+
+
+def _echo(challenge: int, token: str, p: int) -> int:
+    """The seed a response echoes: the root's challenge, shifted under
+    :data:`TOKEN_ECHO_SHIFT`."""
+    return (challenge + 1) % p if token == TOKEN_ECHO_SHIFT else challenge
+
+
+def _shift_aggregate(messages: Dict[int, NodeMessage], root: int,
+                     token: str, p: int) -> None:
+    """Apply an aggregate-corrupting token to the root's message."""
+    field = _SHIFTED_FIELD.get(token)
+    if field is not None:
+        messages[root][field] = (messages[root][field] + 1) % p
 
 
 def _roots_of(rho: Tuple[int, ...], roots: str) -> List[int]:
@@ -169,59 +184,35 @@ class CommittedSymGame(GameSpec):
         key = (rho, root)
         cached = self._m0_cache.get(key)
         if cached is None:
-            advice = self.context.tree_advice(root)
-            cached = {
-                v: {FIELD_ROOT: root,
-                    sym_dmam.FIELD_RHO: rho[v],
-                    FIELD_PARENT: advice.parent[v],
-                    FIELD_DIST: advice.dist[v]}
-                for v in self.graph.vertices
-            }
+            cached = sym_dmam.commitment_messages(
+                rho, root, self.context.tree_advice(root),
+                self.graph.vertices)
             self._m0_cache[key] = cached
         return cached
 
     def _aggregates(self, rho: Tuple[int, ...], root: int,
                     seed: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-        graph = self.graph
         family = self.protocol.family
-        n = graph.n
         advice = self.context.tree_advice(root)
+        # The a side does not depend on ρ: cache it per (root, seed).
         a_values = self._a_cache.get((root, seed))
         if a_values is None:
-            a_values = honest_aggregates(
-                graph, advice,
-                lambda v: family.hash_row_matrix(seed, n, v,
-                                                 graph.closed_row(v)),
-                family.p)
+            a_values = adjacency_aggregates(family, seed, self.graph, advice)
             self._a_cache[(root, seed)] = a_values
         b_values = self._b_cache.get((rho, root, seed))
         if b_values is None:
-            b_values = honest_aggregates(
-                graph, advice,
-                lambda v: family.hash_row_matrix(
-                    seed, n, rho[v],
-                    image_bits(graph.closed_row(v), rho, n)),
-                family.p)
+            b_values = image_aggregates(family, seed, self.graph, advice,
+                                        rho)
             self._b_cache[(rho, root, seed)] = b_values
         return a_values, b_values
 
     def accept(self, history: History) -> bool:
         (rho, root), challenge, token = history
-        seed = ((challenge + 1) % self.p if token == TOKEN_ECHO_SHIFT
-                else challenge)
+        seed = _echo(challenge, token, self.p)
         a_values, b_values = self._aggregates(rho, root, seed)
-        m2 = {
-            v: {sym_dmam.FIELD_SEED: seed,
-                sym_dmam.FIELD_A: a_values[v],
-                sym_dmam.FIELD_B: b_values[v]}
-            for v in self.graph.vertices
-        }
-        if token == TOKEN_A_SHIFT:
-            m2[root][sym_dmam.FIELD_A] = \
-                (m2[root][sym_dmam.FIELD_A] + 1) % self.p
-        elif token == TOKEN_B_SHIFT:
-            m2[root][sym_dmam.FIELD_B] = \
-                (m2[root][sym_dmam.FIELD_B] + 1) % self.p
+        m2 = sym_dmam.aggregate_messages(seed, a_values, b_values,
+                                         self.graph.vertices)
+        _shift_aggregate(m2, root, token, self.p)
         transcript = Transcript(
             randomness={sym_dmam.ROUND_A1: {
                 v: (challenge if v == root else self.challenge_fill)
@@ -302,11 +293,9 @@ class AdaptiveSymGame(GameSpec):
         key = (rho, root, token, challenge)
         verdict = self._verdicts.get(key)
         if verdict is None:
-            seed = ((challenge + 1) % self.p if token == TOKEN_ECHO_SHIFT
-                    else challenge)
             m1 = sym_dam._mapping_response(
-                self.protocol, self.graph, rho, seed,
-                context=self.context, root=root)
+                self.protocol, self.graph, rho,
+                _echo(challenge, token, self.p), self.context, root)
             transcript = Transcript(
                 randomness={sym_dam.ROUND_A0:
                             {v: joint[v] for v in self.graph.vertices}},
@@ -373,23 +362,12 @@ class ForcedMappingGame(GameSpec):
                                               Dict[int, int]]:
         cached = self._agg_cache.get(seed)
         if cached is None:
-            graph = self.graph
-            family = self.protocol.family
-            sigma = self.protocol.sigma
-            n = graph.n
-            advice = self.context.tree_advice(self.protocol.root)
-            a_values = honest_aggregates(
-                graph, advice,
-                lambda v: family.hash_row_matrix(seed, n, v,
-                                                 graph.closed_row(v)),
-                family.p)
-            b_values = honest_aggregates(
-                graph, advice,
-                lambda v: family.hash_row_matrix(
-                    seed, n, sigma[v],
-                    image_bits(graph.closed_row(v), sigma, n)),
-                family.p)
-            cached = (a_values, b_values)
+            protocol = self.protocol
+            advice = self.context.tree_advice(protocol.root)
+            cached = (adjacency_aggregates(protocol.family, seed, self.graph,
+                                           advice),
+                      image_aggregates(protocol.family, seed, self.graph,
+                                       advice, protocol.sigma))
             self._agg_cache[seed] = cached
         return cached
 
@@ -404,24 +382,12 @@ class ForcedMappingGame(GameSpec):
                               else self.challenge_fill)
                           for v in self.graph.vertices}
             root_challenge = challenge
-        seed = ((root_challenge + 1) % self.p
-                if token == TOKEN_ECHO_SHIFT else root_challenge)
+        seed = _echo(root_challenge, token, self.p)
         a_values, b_values = self._aggregates(seed)
-        advice = self.context.tree_advice(root)
-        m1 = {
-            v: {fixed_map.FIELD_SEED: seed,
-                FIELD_PARENT: advice.parent[v],
-                FIELD_DIST: advice.dist[v],
-                fixed_map.FIELD_A: a_values[v],
-                fixed_map.FIELD_B: b_values[v]}
-            for v in self.graph.vertices
-        }
-        if token == TOKEN_A_SHIFT:
-            m1[root][fixed_map.FIELD_A] = \
-                (m1[root][fixed_map.FIELD_A] + 1) % self.p
-        elif token == TOKEN_B_SHIFT:
-            m1[root][fixed_map.FIELD_B] = \
-                (m1[root][fixed_map.FIELD_B] + 1) % self.p
+        m1 = fixed_map.response_messages(
+            seed, self.context.tree_advice(root), a_values, b_values,
+            self.graph.vertices)
+        _shift_aggregate(m1, root, token, self.p)
         transcript = Transcript(
             randomness={fixed_map.ROUND_A0: randomness},
             messages={fixed_map.ROUND_M1: m1})

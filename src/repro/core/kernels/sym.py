@@ -42,7 +42,7 @@ from ...protocols.sym_dam import (CommittedDAMProver, HonestSymDAMProver,
 from ...protocols.sym_dmam import (CommittedMappingProver,
                                    HonestSymDMAMProver, SymDMAMProtocol)
 from ..context import InstanceContext
-from ..model import Instance, Protocol, Prover
+from ..model import Instance, NodeMessage, Protocol, Prover
 from ..runner import ExecutionResult, Transcript
 from ._np import randrange_batch, require_numpy, supported_modulus
 from .base import TrialBatch, TrialKernel
@@ -97,9 +97,7 @@ class _SymAggregateKernel(TrialKernel):
         self._a_row_index = np.arange(n, dtype=np.int64)
         self._b_row_index = rho_arr
         self._order, self._ends = context.tree_levels(root)
-        advice = context.tree_advice(root)
-        self.parent = advice.parent
-        self.dist = advice.dist
+        self._advice = context.tree_advice(root)
         # The only root check that is not satisfied by construction
         # besides the collision itself.
         self._root_static_ok = self.rho[root] != root
@@ -111,23 +109,22 @@ class _SymAggregateKernel(TrialKernel):
         # all n charges with the reference engine's.
         charge = sum(protocol.arthur_bits(instance, r)
                      for r in protocol.arthur_round_indices())
-        charge += sum(protocol.merlin_bits(instance, r, message)
-                      for r, message in self._template_messages(root))
+        template = self._messages(0, {root: 0}, {root: 0}, (root,))
+        charge += sum(protocol.merlin_bits(instance, r, messages[root])
+                      for r, messages in template.items())
         self.node_bits = (charge,) * n
         self._max_bits = charge
         self._total_bits = charge * n
 
     # -- subclass layout -------------------------------------------------
 
-    def _template_messages(self, v: int):
-        """``(round, message)`` pairs node ``v`` receives, with
-        domain-representative placeholder values for the per-trial
-        fields (costs are value-independent within the domain)."""
-        raise NotImplementedError
-
-    def _materialize_transcript(self, challenges: Sequence[int],
-                                a_values: Sequence[int],
-                                b_values: Sequence[int]) -> Transcript:
+    def _messages(self, seed: int, a_values: Sequence[int],
+                  b_values: Sequence[int], vertices: Sequence[int]
+                  ) -> Dict[int, Dict[int, NodeMessage]]:
+        """Every Merlin round's messages to ``vertices``, built by the
+        protocol module's layout builders.  The one-node metering
+        template passes placeholder zeros: costs are value-independent
+        within each field's domain."""
         raise NotImplementedError
 
     # -- batch math ------------------------------------------------------
@@ -188,10 +185,11 @@ class _SymAggregateKernel(TrialKernel):
         }
 
     def _aggregate(self, terms):
-        """Fold per-node terms into subtree sums — the batched
-        ``honest_aggregates``.  One cumulative sum in DFS preorder;
-        each subtree sum is the difference of two prefix entries.  The
-        sums stay exact below n·p < 2⁶² (``_check_sum_headroom``)."""
+        """Fold per-node terms into subtree sums — the batched form of
+        the provers' truthful aggregates.  One cumulative sum in DFS
+        preorder; each subtree sum is the difference of two prefix
+        entries.  The sums stay exact below n·p < 2⁶²
+        (``_check_sum_headroom``)."""
         np = require_numpy()
         prefix = np.zeros((terms.shape[0], self.n + 1), dtype=np.int64)
         np.cumsum(terms[:, self._order], axis=1, out=prefix[:, 1:])
@@ -230,8 +228,10 @@ class _SymAggregateKernel(TrialKernel):
         a_values = [int(x) for x in computed["a_values"][0]]
         b_values = [int(x) for x in computed["b_values"][0]]
         accepted = bool(computed["accepted"][0])
-        transcript = self._materialize_transcript(challenges, a_values,
-                                                  b_values)
+        transcript = Transcript(
+            randomness={self.ARTHUR_ROUND: dict(enumerate(challenges))},
+            messages=self._messages(challenges[self.root], a_values,
+                                    b_values, range(self.n)))
         if accepted:
             decisions = {v: True for v in range(self.n)}
         elif stop_on_first_reject:
@@ -254,34 +254,13 @@ class SymDMAMKernel(_SymAggregateKernel):
 
     ARTHUR_ROUND = sym_dmam.ROUND_A1
 
-    def _template_messages(self, v: int):
-        m0 = {sym_dmam.FIELD_ROOT: self.root,
-              sym_dmam.FIELD_RHO: self.rho[v],
-              sym_dmam.FIELD_PARENT: self.parent[v],
-              sym_dmam.FIELD_DIST: self.dist[v]}
-        m2 = {sym_dmam.FIELD_SEED: 0,
-              sym_dmam.FIELD_A: 0,
-              sym_dmam.FIELD_B: 0}
-        return ((sym_dmam.ROUND_M0, m0), (sym_dmam.ROUND_M2, m2))
-
-    def _materialize_transcript(self, challenges, a_values,
-                                b_values) -> Transcript:
-        seed = challenges[self.root]
-        return Transcript(
-            randomness={sym_dmam.ROUND_A1: dict(enumerate(challenges))},
-            messages={
-                sym_dmam.ROUND_M0: {
-                    v: {sym_dmam.FIELD_ROOT: self.root,
-                        sym_dmam.FIELD_RHO: self.rho[v],
-                        sym_dmam.FIELD_PARENT: self.parent[v],
-                        sym_dmam.FIELD_DIST: self.dist[v]}
-                    for v in range(self.n)},
-                sym_dmam.ROUND_M2: {
-                    v: {sym_dmam.FIELD_SEED: seed,
-                        sym_dmam.FIELD_A: a_values[v],
-                        sym_dmam.FIELD_B: b_values[v]}
-                    for v in range(self.n)},
-            })
+    def _messages(self, seed, a_values, b_values, vertices):
+        return {
+            sym_dmam.ROUND_M0: sym_dmam.commitment_messages(
+                self.rho, self.root, self._advice, vertices),
+            sym_dmam.ROUND_M2: sym_dmam.aggregate_messages(
+                seed, a_values, b_values, vertices),
+        }
 
 
 class SymDAMKernel(_SymAggregateKernel):
@@ -290,32 +269,10 @@ class SymDAMKernel(_SymAggregateKernel):
 
     ARTHUR_ROUND = sym_dam.ROUND_A0
 
-    def _template_messages(self, v: int):
-        m1 = {sym_dam.FIELD_RHO_TABLE: self.rho,
-              sym_dam.FIELD_SEED: 0,
-              sym_dam.FIELD_ROOT: self.root,
-              sym_dam.FIELD_PARENT: self.parent[v],
-              sym_dam.FIELD_DIST: self.dist[v],
-              sym_dam.FIELD_A: 0,
-              sym_dam.FIELD_B: 0}
-        return ((sym_dam.ROUND_M1, m1),)
-
-    def _materialize_transcript(self, challenges, a_values,
-                                b_values) -> Transcript:
-        seed = challenges[self.root]
-        return Transcript(
-            randomness={sym_dam.ROUND_A0: dict(enumerate(challenges))},
-            messages={
-                sym_dam.ROUND_M1: {
-                    v: {sym_dam.FIELD_RHO_TABLE: self.rho,
-                        sym_dam.FIELD_SEED: seed,
-                        sym_dam.FIELD_ROOT: self.root,
-                        sym_dam.FIELD_PARENT: self.parent[v],
-                        sym_dam.FIELD_DIST: self.dist[v],
-                        sym_dam.FIELD_A: a_values[v],
-                        sym_dam.FIELD_B: b_values[v]}
-                    for v in range(self.n)},
-            })
+    def _messages(self, seed, a_values, b_values, vertices):
+        return {sym_dam.ROUND_M1: sym_dam.mapping_messages(
+            self.rho, seed, self.root, self._advice, a_values, b_values,
+            vertices)}
 
 
 #: (exact protocol type, exact prover types, kernel) — exact types, not

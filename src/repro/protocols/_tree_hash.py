@@ -11,15 +11,33 @@ By induction up the tree (Lemma 3.3) the root's accepted value is
 forced to be the true total ``Σ_v own_term(v)`` — the prover has no
 freedom anywhere, which is what reduces soundness to a hash-collision
 event at the root.
+
+Protocols 1 and 2 and the fixed-map protocol (hence DSym) share more:
+the prover commits to a mapping ρ (fixed and public for the fixed-map
+protocol), every node hashes its share of ``Σ[v, N(v)]`` into ``a``
+and of ``Σ[ρ(v), ρ(N(v))]`` into ``b`` with the Theorem 3.2 family,
+and the root compares ``a_r = b_r`` and pins the echoed seed to its
+own challenge.  :class:`MappingHashProtocol`,
+:func:`check_mapping_hash` and the two aggregate helpers own that
+mechanism once; each protocol keeps its round pattern, message layout,
+parsing and range checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import random
+from typing import Callable, Dict, Sequence
 
-from ..core.model import LocalView, ProtocolViolation
+from ..core.model import Instance, LocalView, Protocol, ProtocolViolation
 from ..graphs.graph import Graph
+from ..hashing.linear import LinearHashFamily
+from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import TreeAdvice, children_of
+
+#: The echoed seed and the two aggregates, in every mapping-hash layout.
+FIELD_SEED = "seed"
+FIELD_A = "a"
+FIELD_B = "b"
 
 
 def check_aggregate(view: LocalView, tree_round: int, value_round: int,
@@ -83,3 +101,81 @@ def closed_row_bits(view: LocalView) -> int:
     for u in view.closed_neighborhood:
         bits |= 1 << u
     return bits
+
+
+class MappingHashProtocol(Protocol):
+    """The commit-hash-aggregate protocols on ``n`` vertices: the
+    Theorem 3.2 family whose dimension covers the n×n matrix, the
+    instance-size check, and Arthur's one seed per node."""
+
+    def __init__(self, n: int, family: LinearHashFamily) -> None:
+        self.n = n
+        self.family = family
+        if family.m < n * n:
+            raise ValueError("hash dimension must cover the n×n matrix")
+
+    def validate_instance(self, instance: Instance) -> None:
+        super().validate_instance(instance)
+        if instance.n != self.n:
+            raise ValueError(
+                f"protocol built for n={self.n}, instance has n={instance.n}")
+
+    def arthur_value(self, instance: Instance, round_idx: int, v: int,
+                     rng: random.Random) -> int:
+        return self.family.sample_seed(rng)
+
+    def arthur_bits(self, instance: Instance, round_idx: int) -> int:
+        return self.family.seed_bits
+
+
+def check_mapping_hash(view: LocalView, family: LinearHashFamily,
+                       seed: int, own_row: int, image_node: int,
+                       image_row: int, tree_round: int, value_round: int,
+                       root: int, arthur_round: int) -> bool:
+    """The verifier core (lines 3–4 of Protocol 1) on parsed inputs.
+
+    Node v hashes its adjacency row ``own_row`` at row v and its image
+    row at row ``image_node`` under the echoed ``seed``, checks both
+    aggregates against its children's, and the root also requires
+    ``a_r = b_r`` and that the echo is the challenge it sent in
+    ``arthur_round`` (so the prover could not pick the seed).
+    """
+    p = family.p
+    a_term = family.hash_row_matrix(seed, view.n, view.node, own_row)
+    b_term = family.hash_row_matrix(seed, view.n, image_node, image_row)
+    if not check_aggregate(view, tree_round, value_round, root, FIELD_A,
+                           a_term, p):
+        return False
+    if not check_aggregate(view, tree_round, value_round, root, FIELD_B,
+                           b_term, p):
+        return False
+    if view.node == root:
+        values = view.own_message(value_round)
+        if values[FIELD_A] != values[FIELD_B]:
+            return False
+        if seed != view.own_randomness(arthur_round):
+            return False
+    return True
+
+
+def adjacency_aggregates(family: LinearHashFamily, seed: int, graph: Graph,
+                         advice: TreeAdvice) -> Dict[int, int]:
+    """The truthful ``a`` side: subtree sums of ``h_seed([v, N(v)])``."""
+    n = graph.n
+    return honest_aggregates(
+        graph, advice,
+        lambda v: family.hash_row_matrix(seed, n, v, graph.closed_row(v)),
+        family.p)
+
+
+def image_aggregates(family: LinearHashFamily, seed: int, graph: Graph,
+                     advice: TreeAdvice,
+                     rho: Sequence[int]) -> Dict[int, int]:
+    """The truthful ``b`` side: subtree sums of
+    ``h_seed([ρ(v), ρ(N(v))])``."""
+    n = graph.n
+    return honest_aggregates(
+        graph, advice,
+        lambda v: family.hash_row_matrix(
+            seed, n, rho[v], image_bits(graph.closed_row(v), rho, n)),
+        family.p)

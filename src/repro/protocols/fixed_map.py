@@ -25,26 +25,40 @@ motivation from the paper's introduction.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Sequence
+from typing import (Callable, Dict, FrozenSet, Iterable, Mapping, Optional,
+                    Sequence)
 
-from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
+from ..core.model import (Instance, LocalView, NodeMessage,
                           ProtocolViolation, Prover, PATTERN_DAM,
                           bits_for_identifier, bits_for_value, field_cost)
 from ..hashing.linear import LinearHashFamily
-from ..hashing.primes import theorem32_prime_window
 from ..hashing.rowmatrix import image_bits
-from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, tree_check)
-from ._tree_hash import check_aggregate, closed_row_bits, honest_aggregates
-
-FIELD_SEED = "seed"
-FIELD_A = "a"
-FIELD_B = "b"
+from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, TreeAdvice,
+                                     tree_check)
+from ._tree_hash import (FIELD_A, FIELD_B, FIELD_SEED, MappingHashProtocol,
+                         adjacency_aggregates, check_mapping_hash,
+                         closed_row_bits, image_aggregates)
+from .sym_dmam import protocol1_hash_family
 
 ROUND_A0 = 0
 ROUND_M1 = 1
 
 
-class FixedMappingProtocol(Protocol):
+def response_messages(seed: int, advice: TreeAdvice,
+                      a_values: Mapping[int, int],
+                      b_values: Mapping[int, int],
+                      vertices: Iterable[int]) -> Dict[int, NodeMessage]:
+    """Round M₁ for ``vertices``: the broadcast seed echo, each node's
+    spanning-tree advice and its two subtree aggregates."""
+    return {v: {FIELD_SEED: seed,
+                FIELD_PARENT: advice.parent[v],
+                FIELD_DIST: advice.dist[v],
+                FIELD_A: a_values[v],
+                FIELD_B: b_values[v]}
+            for v in vertices}
+
+
+class FixedMappingProtocol(MappingHashProtocol):
     """dAM[O(log n)] protocol for "σ ∈ Aut(G)", σ fixed and public.
 
     Parameters
@@ -78,29 +92,10 @@ class FixedMappingProtocol(Protocol):
             raise ValueError("sigma must be a permutation of 0..n-1")
         if not 0 <= root < n:
             raise ValueError("root out of range")
-        self.n = n
         self.sigma = tuple(sigma)
         self.root = root
         self.structure_check = structure_check
-        self.family = family or LinearHashFamily(
-            m=n * n, p=theorem32_prime_window(n, exponent=3))
-        if self.family.m < n * n:
-            raise ValueError("hash dimension must cover the n×n matrix")
-
-    def validate_instance(self, instance: Instance) -> None:
-        super().validate_instance(instance)
-        if instance.n != self.n:
-            raise ValueError(
-                f"protocol built for n={self.n}, instance has n={instance.n}")
-
-    # -- Arthur ----------------------------------------------------------
-
-    def arthur_value(self, instance: Instance, round_idx: int, v: int,
-                     rng: random.Random) -> int:
-        return self.family.sample_seed(rng)
-
-    def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        return self.family.seed_bits
+        super().__init__(n, family or protocol1_hash_family(n))
 
     # -- Merlin ----------------------------------------------------------
 
@@ -132,31 +127,14 @@ class FixedMappingProtocol(Protocol):
         if not tree_check(view, ROUND_M1, self.root):
             return False
 
-        m1 = view.own_message(ROUND_M1)
-        seed = m1[FIELD_SEED]
+        seed = view.own_message(ROUND_M1)[FIELD_SEED]
         if not isinstance(seed, int) or not 0 <= seed < self.family.p:
             return False
-
         own_row = closed_row_bits(view)
-        a_term = self.family.hash_row_matrix(seed, view.n, view.node,
-                                             own_row)
-        b_row = image_bits(own_row, self.sigma, view.n)
-        b_term = self.family.hash_row_matrix(seed, view.n,
-                                             self.sigma[view.node], b_row)
-
-        if not check_aggregate(view, ROUND_M1, ROUND_M1, self.root, FIELD_A,
-                               a_term, self.family.p):
-            return False
-        if not check_aggregate(view, ROUND_M1, ROUND_M1, self.root, FIELD_B,
-                               b_term, self.family.p):
-            return False
-
-        if view.node == self.root:
-            if m1[FIELD_A] != m1[FIELD_B]:
-                return False
-            if seed != view.own_randomness(ROUND_A0):
-                return False
-        return True
+        return check_mapping_hash(
+            view, self.family, seed, own_row, self.sigma[view.node],
+            image_bits(own_row, self.sigma, view.n),
+            ROUND_M1, ROUND_M1, self.root, ROUND_A0)
 
     # -- provers -----------------------------------------------------------
 
@@ -184,29 +162,13 @@ class ForcedMappingProver(Prover):
             raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
         protocol = self.protocol
         graph = instance.graph
-        n = graph.n
         family = protocol.family
-        sigma = protocol.sigma
         seed = randomness[ROUND_A0][protocol.root]
         advice = self.acquire_context(instance).tree_advice(protocol.root)
-
-        def a_term(v: int) -> int:
-            return family.hash_row_matrix(seed, n, v, graph.closed_row(v))
-
-        def b_term(v: int) -> int:
-            row = image_bits(graph.closed_row(v), sigma, n)
-            return family.hash_row_matrix(seed, n, sigma[v], row)
-
-        a_values = honest_aggregates(graph, advice, a_term, family.p)
-        b_values = honest_aggregates(graph, advice, b_term, family.p)
-        return {
-            v: {FIELD_SEED: seed,
-                FIELD_PARENT: advice.parent[v],
-                FIELD_DIST: advice.dist[v],
-                FIELD_A: a_values[v],
-                FIELD_B: b_values[v]}
-            for v in graph.vertices
-        }
+        return response_messages(
+            seed, advice, adjacency_aggregates(family, seed, graph, advice),
+            image_aggregates(family, seed, graph, advice, protocol.sigma),
+            graph.vertices)
 
 
 # -- cost declaration -----------------------------------------------------

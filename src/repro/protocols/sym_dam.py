@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
-from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
+from ..core.model import (Instance, LocalView, NodeMessage,
                           ProtocolViolation, Prover, PATTERN_DAM,
                           bits_for_identifier, bits_for_value, field_cost,
                           tuple_field_cost)
@@ -39,13 +40,13 @@ from ..hashing.linear import LinearHashFamily
 from ..hashing.primes import prime_in_range
 from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, FIELD_ROOT,
-                                     honest_tree_advice, tree_check)
-from ._tree_hash import check_aggregate, closed_row_bits, honest_aggregates
+                                     TreeAdvice, tree_check)
+from ._tree_hash import (FIELD_A, FIELD_B, FIELD_SEED, MappingHashProtocol,
+                         adjacency_aggregates, check_mapping_hash,
+                         closed_row_bits, image_aggregates)
+from .analysis import all_swaps
 
 FIELD_RHO_TABLE = "rho_table"
-FIELD_SEED = "seed"
-FIELD_A = "a"
-FIELD_B = "b"
 
 ROUND_A0 = 0
 ROUND_M1 = 1
@@ -61,7 +62,24 @@ def protocol2_hash_family(n: int) -> LinearHashFamily:
     return LinearHashFamily(m=n * n, p=prime_in_range(10 * base, 100 * base))
 
 
-class SymDAMProtocol(Protocol):
+def mapping_messages(rho: Tuple[int, ...], seed: int, root: int,
+                     advice: TreeAdvice, a_values: Mapping[int, int],
+                     b_values: Mapping[int, int],
+                     vertices: Iterable[int]) -> Dict[int, NodeMessage]:
+    """Round M₁ for ``vertices``: the broadcast ρ table, seed echo and
+    root, each node's spanning-tree advice and its two subtree
+    aggregates (any sequence indexed by vertex)."""
+    return {v: {FIELD_RHO_TABLE: rho,
+                FIELD_SEED: seed,
+                FIELD_ROOT: root,
+                FIELD_PARENT: advice.parent[v],
+                FIELD_DIST: advice.dist[v],
+                FIELD_A: a_values[v],
+                FIELD_B: b_values[v]}
+            for v in vertices}
+
+
+class SymDAMProtocol(MappingHashProtocol):
     """Protocol 2 (dAM for Sym) on ``n`` vertices."""
 
     name = "sym-dam"
@@ -71,25 +89,7 @@ class SymDAMProtocol(Protocol):
                  family: Optional[LinearHashFamily] = None) -> None:
         if n < 2:
             raise ValueError("Sym needs at least 2 vertices")
-        self.n = n
-        self.family = family or protocol2_hash_family(n)
-        if self.family.m < n * n:
-            raise ValueError("hash dimension must cover the n×n matrix")
-
-    def validate_instance(self, instance: Instance) -> None:
-        super().validate_instance(instance)
-        if instance.n != self.n:
-            raise ValueError(
-                f"protocol built for n={self.n}, instance has n={instance.n}")
-
-    # -- Arthur ----------------------------------------------------------
-
-    def arthur_value(self, instance: Instance, round_idx: int, v: int,
-                     rng: random.Random) -> int:
-        return self.family.sample_seed(rng)
-
-    def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        return self.family.seed_bits
+        super().__init__(n, family or protocol2_hash_family(n))
 
     # -- Merlin ----------------------------------------------------------
 
@@ -131,30 +131,15 @@ class SymDAMProtocol(Protocol):
             return False
         if not tree_check(view, ROUND_M1, root):
             return False
-
-        own_row = closed_row_bits(view)
-        a_term = self.family.hash_row_matrix(seed, view.n, view.node, own_row)
+        if view.node == root and rho[root] == root:
+            return False
         # With the full table broadcast, each node computes ρ(N(v))
         # directly (no need to read neighbors' unicasts for ρ).
-        b_row = image_bits(own_row, rho, view.n)
-        b_term = self.family.hash_row_matrix(seed, view.n, rho[view.node],
-                                             b_row)
-
-        if not check_aggregate(view, ROUND_M1, ROUND_M1, root, FIELD_A,
-                               a_term, self.family.p):
-            return False
-        if not check_aggregate(view, ROUND_M1, ROUND_M1, root, FIELD_B,
-                               b_term, self.family.p):
-            return False
-
-        if view.node == root:
-            if m1[FIELD_A] != m1[FIELD_B]:
-                return False
-            if rho[root] == root:
-                return False
-            if seed != view.own_randomness(ROUND_A0):
-                return False
-        return True
+        own_row = closed_row_bits(view)
+        return check_mapping_hash(
+            view, self.family, seed, own_row, rho[view.node],
+            image_bits(own_row, rho, view.n),
+            ROUND_M1, ROUND_M1, root, ROUND_A0)
 
     # -- provers -----------------------------------------------------------
 
@@ -163,57 +148,54 @@ class SymDAMProtocol(Protocol):
 
 
 def _mapping_response(protocol: SymDAMProtocol, graph: Graph,
-                      rho: Tuple[int, ...], seed: int,
-                      context=None,
+                      rho: Tuple[int, ...], seed: int, context,
                       root: Optional[int] = None) -> Dict[int, NodeMessage]:
     """Build the full M₁ response for a committed mapping: truthful
     spanning tree and truthful aggregates (the prover has no slack in
     the aggregates; see Protocol 1's cheating-prover docstring).
 
-    ``context`` is an optional :class:`~repro.core.context
-    .InstanceContext` supplying the cached spanning tree.  ``root``
-    overrides the canonical choice (the smallest moved vertex) — the
-    root determines whose challenge is echoed, so adaptive callers may
-    prefer a different moved vertex."""
-    n = graph.n
+    ``context`` is the :class:`~repro.core.context.InstanceContext`
+    supplying the cached spanning tree.  ``root`` overrides the
+    canonical choice (the smallest moved vertex) — the root determines
+    whose challenge is echoed, so adaptive callers may prefer a
+    different moved vertex."""
     family = protocol.family
     if root is None:
         root = min(v for v in graph.vertices if rho[v] != v)
-    if context is not None:
-        advice = context.tree_advice(root)
-    else:
-        advice = honest_tree_advice(graph, root)
-
-    def a_term(v: int) -> int:
-        return family.hash_row_matrix(seed, n, v, graph.closed_row(v))
-
-    def b_term(v: int) -> int:
-        row = image_bits(graph.closed_row(v), rho, n)
-        return family.hash_row_matrix(seed, n, rho[v], row)
-
-    a_values = honest_aggregates(graph, advice, a_term, family.p)
-    b_values = honest_aggregates(graph, advice, b_term, family.p)
-    return {
-        v: {FIELD_RHO_TABLE: rho,
-            FIELD_SEED: seed,
-            FIELD_ROOT: root,
-            FIELD_PARENT: advice.parent[v],
-            FIELD_DIST: advice.dist[v],
-            FIELD_A: a_values[v],
-            FIELD_B: b_values[v]}
-        for v in graph.vertices
-    }
+    advice = context.tree_advice(root)
+    return mapping_messages(
+        rho, seed, root, advice,
+        adjacency_aggregates(family, seed, graph, advice),
+        image_aggregates(family, seed, graph, advice, rho),
+        graph.vertices)
 
 
-class HonestSymDAMProver(Prover):
+class _PlannedMappingProver(Prover):
+    """Protocol 2's non-adaptive provers: the truthful response for the
+    ``(ρ, root)`` of :meth:`batch_plan`, under the root's challenge."""
+
+    def respond(self, instance: Instance, round_idx: int,
+                randomness: Mapping[int, Mapping[int, int]],
+                own_messages: Mapping[int, Mapping[int, NodeMessage]],
+                rng: random.Random) -> Dict[int, NodeMessage]:
+        if round_idx != ROUND_M1:
+            raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
+        ctx = self.acquire_context(instance)
+        plan = self.batch_plan(ctx)
+        seed = randomness[ROUND_A0][plan["root"]]
+        return _mapping_response(self.protocol, instance.graph,
+                                 plan["rho"], seed, ctx, plan["root"])
+
+
+class HonestSymDAMProver(_PlannedMappingProver):
     """Completeness witness for Protocol 2."""
 
     def __init__(self, protocol: SymDAMProtocol) -> None:
         self.protocol = protocol
 
     def batch_plan(self, context):
-        """The numpy batch engine's description of this strategy (same
-        contract as ``HonestSymDMAMProver.batch_plan``)."""
+        """A non-trivial automorphism and the smallest vertex it moves
+        (same contract as ``HonestSymDMAMProver.batch_plan``)."""
         rho = context.nontrivial_automorphism()
         if rho is None:
             raise ProtocolViolation(
@@ -222,26 +204,8 @@ class HonestSymDAMProver(Prover):
         root = min(v for v in context.graph.vertices if rho[v] != v)
         return {"rho": rho, "root": root}
 
-    def respond(self, instance: Instance, round_idx: int,
-                randomness: Mapping[int, Mapping[int, int]],
-                own_messages: Mapping[int, Mapping[int, NodeMessage]],
-                rng: random.Random) -> Dict[int, NodeMessage]:
-        if round_idx != ROUND_M1:
-            raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
-        graph = instance.graph
-        ctx = self.acquire_context(instance)
-        rho = ctx.nontrivial_automorphism()
-        if rho is None:
-            raise ProtocolViolation(
-                "honest prover run on an asymmetric graph — "
-                "completeness only applies to YES instances")
-        root = min(v for v in graph.vertices if rho[v] != v)
-        seed = randomness[ROUND_A0][root]
-        return _mapping_response(self.protocol, graph, rho, seed,
-                                 context=ctx)
 
-
-class CommittedDAMProver(Prover):
+class CommittedDAMProver(_PlannedMappingProver):
     """Protocol 2's analogue of Protocol 1's ``CommittedMappingProver``:
     plays one fixed non-identity mapping regardless of the challenge.
 
@@ -273,18 +237,6 @@ class CommittedDAMProver(Prover):
         and challenge-independent by design, so the numpy batch engine
         can replay this prover wholesale."""
         return {"rho": self.mapping, "root": self.root}
-
-    def respond(self, instance: Instance, round_idx: int,
-                randomness: Mapping[int, Mapping[int, int]],
-                own_messages: Mapping[int, Mapping[int, NodeMessage]],
-                rng: random.Random) -> Dict[int, NodeMessage]:
-        if round_idx != ROUND_M1:
-            raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
-        seed = randomness[ROUND_A0][self.root]
-        return _mapping_response(self.protocol, instance.graph,
-                                 self.mapping, seed,
-                                 context=self.acquire_context(instance),
-                                 root=self.root)
 
 
 def _hash_of_mapping(family: LinearHashFamily, graph: Graph, seed: int,
@@ -330,11 +282,7 @@ class AdaptiveCollisionProver(Prover):
     def _candidates(self, n: int) -> Iterable[Tuple[int, ...]]:
         identity = tuple(range(n))
         if self.search == "swaps":
-            for u in range(n):
-                for w in range(u + 1, n):
-                    mapping = list(identity)
-                    mapping[u], mapping[w] = w, u
-                    yield tuple(mapping)
+            yield from all_swaps(n)
         elif self.search == "permutations":
             for perm in itertools.permutations(range(n)):
                 if perm != identity:
@@ -391,7 +339,7 @@ class AdaptiveCollisionProver(Prover):
             chosen_seed = randomness[ROUND_A0][root]
         assert chosen_seed is not None
         return _mapping_response(self.protocol, graph, chosen, chosen_seed,
-                                 context=self.acquire_context(instance))
+                                 self.acquire_context(instance))
 
 
 # -- cost declarations ----------------------------------------------------

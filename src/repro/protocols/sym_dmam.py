@@ -30,24 +30,22 @@ round M₀ and three values in ``[p]``-sized domains in round M₂.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
-from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
+from ..core.model import (Instance, LocalView, NodeMessage,
                           ProtocolViolation, Prover, PATTERN_DMAM,
                           bits_for_identifier, bits_for_value, field_cost)
 from ..graphs.graph import Graph
 from ..hashing.linear import LinearHashFamily
 from ..hashing.primes import theorem32_prime_window
-from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, FIELD_ROOT,
-                                     tree_check)
-from ._tree_hash import (check_aggregate, closed_row_bits, honest_aggregates,
-                         rho_image_row)
+                                     TreeAdvice, tree_check)
+from ._tree_hash import (FIELD_A, FIELD_B, FIELD_SEED, MappingHashProtocol,
+                         adjacency_aggregates, check_mapping_hash,
+                         closed_row_bits, image_aggregates, rho_image_row)
 
 FIELD_RHO = "rho"
-FIELD_SEED = "seed"
-FIELD_A = "a"
-FIELD_B = "b"
 
 ROUND_M0 = 0
 ROUND_A1 = 1
@@ -59,7 +57,29 @@ def protocol1_hash_family(n: int) -> LinearHashFamily:
     return LinearHashFamily(m=n * n, p=theorem32_prime_window(n, exponent=3))
 
 
-class SymDMAMProtocol(Protocol):
+def commitment_messages(rho: Sequence[int], root: int, advice: TreeAdvice,
+                        vertices: Iterable[int]) -> Dict[int, NodeMessage]:
+    """Round M₀ for ``vertices``: the broadcast root, each node's image
+    ``ρ_v`` and its spanning-tree advice."""
+    return {v: {FIELD_ROOT: root,
+                FIELD_RHO: rho[v],
+                FIELD_PARENT: advice.parent[v],
+                FIELD_DIST: advice.dist[v]}
+            for v in vertices}
+
+
+def aggregate_messages(seed: int, a_values: Mapping[int, int],
+                       b_values: Mapping[int, int],
+                       vertices: Iterable[int]) -> Dict[int, NodeMessage]:
+    """Round M₂ for ``vertices``: the broadcast seed echo and each
+    node's two subtree aggregates (any sequence indexed by vertex)."""
+    return {v: {FIELD_SEED: seed,
+                FIELD_A: a_values[v],
+                FIELD_B: b_values[v]}
+            for v in vertices}
+
+
+class SymDMAMProtocol(MappingHashProtocol):
     """Protocol 1 (dMAM for Sym), parameterized by vertex count.
 
     ``family`` may be overridden to study soundness as a function of
@@ -73,25 +93,7 @@ class SymDMAMProtocol(Protocol):
                  family: Optional[LinearHashFamily] = None) -> None:
         if n < 2:
             raise ValueError("Sym needs at least 2 vertices")
-        self.n = n
-        self.family = family or protocol1_hash_family(n)
-        if self.family.m < n * n:
-            raise ValueError("hash dimension must cover the n×n matrix")
-
-    def validate_instance(self, instance: Instance) -> None:
-        super().validate_instance(instance)
-        if instance.n != self.n:
-            raise ValueError(
-                f"protocol built for n={self.n}, instance has n={instance.n}")
-
-    # -- Arthur ----------------------------------------------------------
-
-    def arthur_value(self, instance: Instance, round_idx: int, v: int,
-                     rng: random.Random) -> int:
-        return self.family.sample_seed(rng)
-
-    def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        return self.family.seed_bits
+        super().__init__(n, family or protocol1_hash_family(n))
 
     # -- Merlin ----------------------------------------------------------
 
@@ -137,37 +139,20 @@ class SymDMAMProtocol(Protocol):
         if not tree_check(view, ROUND_M0, root):
             return False
 
-        m2 = view.own_message(ROUND_M2)
-        seed = m2[FIELD_SEED]
+        seed = view.own_message(ROUND_M2)[FIELD_SEED]
         if not isinstance(seed, int) or not 0 <= seed < self.family.p:
             return False
-
-        # Own terms for the two aggregates (line 3 of Protocol 1).
-        own_row = closed_row_bits(view)
-        a_term = self.family.hash_row_matrix(seed, view.n, view.node, own_row)
         rho_v = m0[FIELD_RHO]
         if not isinstance(rho_v, int) or not 0 <= rho_v < view.n:
             return False
-        b_row = rho_image_row(view, ROUND_M0, FIELD_RHO)
-        b_term = self.family.hash_row_matrix(seed, view.n, rho_v, b_row)
-
-        if not check_aggregate(view, ROUND_M0, ROUND_M2, root, FIELD_A,
-                               a_term, self.family.p):
+        # Line 4 also needs ρ_r ≠ r at the root.
+        if view.node == root and rho_v == root:
             return False
-        if not check_aggregate(view, ROUND_M0, ROUND_M2, root, FIELD_B,
-                               b_term, self.family.p):
-            return False
-
-        if view.node == root:
-            # Line 4: a_r = b_r, ρ_r ≠ r, and the broadcast index is the
-            # one this node sent (so the prover could not pick it).
-            if m2[FIELD_A] != m2[FIELD_B]:
-                return False
-            if rho_v == root:
-                return False
-            if seed != view.own_randomness(ROUND_A1):
-                return False
-        return True
+        # The b-side row is ρ(N(v)), read from the neighbors' ρ values.
+        return check_mapping_hash(
+            view, self.family, seed, closed_row_bits(view), rho_v,
+            rho_image_row(view, ROUND_M0, FIELD_RHO),
+            ROUND_M0, ROUND_M2, root, ROUND_A1)
 
     # -- honest prover -----------------------------------------------------
 
@@ -175,32 +160,31 @@ class SymDMAMProtocol(Protocol):
         return HonestSymDMAMProver(self)
 
 
-class HonestSymDMAMProver(Prover):
-    """Completeness witness: finds a non-trivial automorphism, builds a
-    BFS spanning tree rooted at a moved vertex, and later reports the
-    true subtree hash aggregates."""
+class _CommitThenAggregateProver(Prover):
+    """Protocol 1's provers: commit to ρ, the smallest vertex it moves
+    as root and that root's BFS tree in M₀, then report the truthful
+    subtree aggregates under the root's challenge in M₂.  Subclasses
+    only choose ρ (:meth:`committed_rho`)."""
 
     def __init__(self, protocol: SymDMAMProtocol) -> None:
         self.protocol = protocol
-        self._rho: Optional[Tuple[int, ...]] = None
-        self._advice = None
-        self._root: Optional[int] = None
+        self.reset()
 
     def reset(self) -> None:
         self._rho = None
         self._advice = None
         self._root = None
 
+    def committed_rho(self, context) -> Tuple[int, ...]:
+        """The ρ to commit to on ``context``'s instance; raises
+        ``ProtocolViolation`` when the strategy has none."""
+        raise NotImplementedError
+
     def batch_plan(self, context):
-        """The numpy batch engine's description of this strategy: the
-        memoized automorphism and its canonical root — exactly the
-        commitments ``respond`` would make, including the
-        ``ProtocolViolation`` on an asymmetric graph."""
-        rho = context.nontrivial_automorphism()
-        if rho is None:
-            raise ProtocolViolation(
-                "honest prover run on an asymmetric graph — "
-                "completeness only applies to YES instances")
+        """The numpy batch engine's description of this strategy:
+        exactly the ρ and root ``respond`` commits to, including any
+        ``ProtocolViolation`` its first response would raise."""
+        rho = self.committed_rho(context)
         root = min(v for v in context.graph.vertices if rho[v] != v)
         return {"rho": rho, "root": root}
 
@@ -211,50 +195,39 @@ class HonestSymDMAMProver(Prover):
         graph = instance.graph
         if round_idx == ROUND_M0:
             ctx = self.acquire_context(instance)
-            rho = ctx.nontrivial_automorphism()
-            if rho is None:
-                raise ProtocolViolation(
-                    "honest prover run on an asymmetric graph — "
-                    "completeness only applies to YES instances")
-            root = min(v for v in graph.vertices if rho[v] != v)
-            self._rho = rho
-            self._root = root
-            self._advice = ctx.tree_advice(root)
-            return {
-                v: {FIELD_ROOT: root,
-                    FIELD_RHO: rho[v],
-                    FIELD_PARENT: self._advice.parent[v],
-                    FIELD_DIST: self._advice.dist[v]}
-                for v in graph.vertices
-            }
+            plan = self.batch_plan(ctx)
+            self._rho = plan["rho"]
+            self._root = plan["root"]
+            self._advice = ctx.tree_advice(self._root)
+            return commitment_messages(self._rho, self._root, self._advice,
+                                       graph.vertices)
         if round_idx == ROUND_M2:
             assert self._rho is not None and self._root is not None
             family = self.protocol.family
             seed = randomness[ROUND_A1][self._root]
-            rho = self._rho
-            n = graph.n
-
-            def a_term(v: int) -> int:
-                return family.hash_row_matrix(seed, n, v, graph.closed_row(v))
-
-            def b_term(v: int) -> int:
-                row = image_bits(graph.closed_row(v), rho, n)
-                return family.hash_row_matrix(seed, n, rho[v], row)
-
-            a_values = honest_aggregates(graph, self._advice, a_term,
-                                         family.p)
-            b_values = honest_aggregates(graph, self._advice, b_term,
-                                         family.p)
-            return {
-                v: {FIELD_SEED: seed,
-                    FIELD_A: a_values[v],
-                    FIELD_B: b_values[v]}
-                for v in graph.vertices
-            }
+            return aggregate_messages(
+                seed, adjacency_aggregates(family, seed, graph, self._advice),
+                image_aggregates(family, seed, graph, self._advice,
+                                 self._rho),
+                graph.vertices)
         raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
 
 
-class CommittedMappingProver(Prover):
+class HonestSymDMAMProver(_CommitThenAggregateProver):
+    """Completeness witness: finds a non-trivial automorphism, builds a
+    BFS spanning tree rooted at a moved vertex, and later reports the
+    true subtree hash aggregates."""
+
+    def committed_rho(self, context) -> Tuple[int, ...]:
+        rho = context.nontrivial_automorphism()
+        if rho is None:
+            raise ProtocolViolation(
+                "honest prover run on an asymmetric graph — "
+                "completeness only applies to YES instances")
+        return rho
+
+
+class CommittedMappingProver(_CommitThenAggregateProver):
     """The canonical *cheating* prover for Protocol 1 on NO instances.
 
     Commits to an arbitrary non-identity mapping ρ (by default the swap
@@ -269,16 +242,8 @@ class CommittedMappingProver(Prover):
 
     def __init__(self, protocol: SymDMAMProtocol,
                  mapping: Optional[Sequence[int]] = None) -> None:
-        self.protocol = protocol
+        super().__init__(protocol)
         self._fixed_mapping = tuple(mapping) if mapping is not None else None
-        self._rho: Optional[Tuple[int, ...]] = None
-        self._advice = None
-        self._root: Optional[int] = None
-
-    def reset(self) -> None:
-        self._rho = None
-        self._advice = None
-        self._root = None
 
     def choose_mapping(self, graph: Graph) -> Tuple[int, ...]:
         """Pick the swap (u, w) minimizing the symmetric difference of
@@ -300,10 +265,10 @@ class CommittedMappingProver(Prover):
         mapping[best[0]], mapping[best[1]] = best[1], best[0]
         return tuple(mapping)
 
-    def batch_plan(self, context):
-        """The committed ρ and root for the numpy batch engine — the
-        same memoized choice (``sym_dmam.committed_swap``) ``respond``
-        commits to, so both engines play the identical strategy."""
+    def committed_rho(self, context) -> Tuple[int, ...]:
+        """The fixed mapping, or the memoized swap
+        (``sym_dmam.committed_swap``) shared by every prover on the
+        context, so both engines play the identical strategy."""
         graph = context.graph
         if self._fixed_mapping is not None:
             rho = self._fixed_mapping
@@ -312,59 +277,7 @@ class CommittedMappingProver(Prover):
                                lambda: self.choose_mapping(graph))
         if all(rho[v] == v for v in graph.vertices):
             raise ProtocolViolation("cheating prover must move a vertex")
-        root = min(v for v in graph.vertices if rho[v] != v)
-        return {"rho": rho, "root": root}
-
-    def respond(self, instance: Instance, round_idx: int,
-                randomness: Mapping[int, Mapping[int, int]],
-                own_messages: Mapping[int, Mapping[int, NodeMessage]],
-                rng: random.Random) -> Dict[int, NodeMessage]:
-        graph = instance.graph
-        if round_idx == ROUND_M0:
-            ctx = self.acquire_context(instance)
-            if self._fixed_mapping is not None:
-                rho = self._fixed_mapping
-            else:
-                rho = ctx.memo("sym_dmam.committed_swap",
-                               lambda: self.choose_mapping(graph))
-            if all(rho[v] == v for v in graph.vertices):
-                raise ProtocolViolation("cheating prover must move a vertex")
-            root = min(v for v in graph.vertices if rho[v] != v)
-            self._rho = rho
-            self._root = root
-            self._advice = ctx.tree_advice(root)
-            return {
-                v: {FIELD_ROOT: root,
-                    FIELD_RHO: rho[v],
-                    FIELD_PARENT: self._advice.parent[v],
-                    FIELD_DIST: self._advice.dist[v]}
-                for v in graph.vertices
-            }
-        if round_idx == ROUND_M2:
-            assert self._rho is not None and self._root is not None
-            family = self.protocol.family
-            seed = randomness[ROUND_A1][self._root]
-            rho = self._rho
-            n = graph.n
-
-            def a_term(v: int) -> int:
-                return family.hash_row_matrix(seed, n, v, graph.closed_row(v))
-
-            def b_term(v: int) -> int:
-                row = image_bits(graph.closed_row(v), rho, n)
-                return family.hash_row_matrix(seed, n, rho[v], row)
-
-            a_values = honest_aggregates(graph, self._advice, a_term,
-                                         family.p)
-            b_values = honest_aggregates(graph, self._advice, b_term,
-                                         family.p)
-            return {
-                v: {FIELD_SEED: seed,
-                    FIELD_A: a_values[v],
-                    FIELD_B: b_values[v]}
-                for v in graph.vertices
-            }
-        raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
+        return rho
 
 
 # -- cost declaration -----------------------------------------------------
