@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
 
 from .gate import check_specs, render_check
 from .report import render_lab_report

@@ -25,8 +25,7 @@ from typing import List
 
 from ..lab.spec import KIND_SWEEP, REGISTRY, get_specs
 from ..lab.store import ResultStore, default_store_root
-from .evaluate import (CHECKED_KINDS, check_live, check_store,
-                       spec_declaration_key)
+from .evaluate import CHECKED_KINDS, check_live, check_store
 
 #: Default output path for the generated cost tables, relative to the
 #: repository root (the parent of the default store's ``benchmarks``).

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 from ..graphs.dumbbell import DumbbellLayout, lower_bound_dumbbell
 from ..graphs.graph import Graph

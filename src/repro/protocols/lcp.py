@@ -23,7 +23,7 @@ of advice length.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence
 
 from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
                           ProtocolViolation, Prover, PATTERN_DNP,
