@@ -44,30 +44,27 @@ def _gni():
     return protocol, gni_instance(rigid[0], rigid[1])
 
 
+#: (id suffix, trials, seed, workers): a fixed seed on three workers,
+#: and one 64-bit draw of ``Random(7)`` on four.
+_POOL_CASES = (("", 12, 424242, 3),
+               ("-drawn", 10, random.Random(7).getrandbits(64), 4))
+
+
 class TestParallelSerialDeterminism:
-    @pytest.mark.parametrize("make", [_sym_dmam, _dsym, _gni],
-                             ids=["sym_dmam", "dsym", "gni"])
-    def test_run_trials_bit_identical(self, make):
+    @pytest.mark.parametrize("make,trials,seed,workers", [
+        pytest.param(make, trials, seed, workers, id=name + suffix)
+        for make, name in ((_sym_dmam, "sym_dmam"), (_dsym, "dsym"),
+                           (_gni, "gni"))
+        for suffix, trials, seed, workers in _POOL_CASES])
+    def test_run_trials_bit_identical(self, make, trials, seed, workers):
         protocol, instance = make()
         serial = run_trials(protocol, instance, protocol.honest_prover(),
-                            12, 424242, workers=1)
+                            trials, seed, workers=1)
         parallel = run_trials(protocol, instance, protocol.honest_prover(),
-                              12, 424242, workers=3)
+                              trials, seed, workers=workers)
         assert serial == parallel  # dataclass equality: (accepted, trials)
         assert serial.accepted == parallel.accepted
-        assert parallel.workers == 3
-
-    @pytest.mark.parametrize("make", [_sym_dmam, _dsym, _gni],
-                             ids=["sym_dmam", "dsym", "gni"])
-    def test_estimate_acceptance_bit_identical(self, make):
-        protocol, instance = make()
-        serial = run_trials(protocol, instance, protocol.honest_prover(),
-                            10, random.Random(7).getrandbits(64),
-                            workers=1)
-        parallel = run_trials(protocol, instance, protocol.honest_prover(),
-                              10, random.Random(7).getrandbits(64),
-                              workers=4)
-        assert serial == parallel
+        assert parallel.workers == workers
 
     def test_chunking_independent_of_worker_count(self):
         protocol, instance = _sym_dmam()
