@@ -67,7 +67,7 @@ class InstanceContext:
         once per context instead of once per trial.
     """
 
-    __slots__ = ("instance", "protocol", "graph",
+    __slots__ = ("instance", "protocol", "graph", "_vertices",
                  "_closed", "_closed_rows", "_tree_advice",
                  "_automorphism", "_memo", "_validated",
                  "_broadcast_plan")
@@ -77,6 +77,7 @@ class InstanceContext:
         self.instance = instance
         self.protocol = protocol
         self.graph = instance.graph
+        self._vertices: Optional[Tuple[int, ...]] = None
         self._closed: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._closed_rows: Optional[Tuple[int, ...]] = None
         self._tree_advice: Dict[int, "TreeAdvice"] = {}
@@ -86,20 +87,28 @@ class InstanceContext:
         self._broadcast_plan: Optional[
             Tuple[Protocol, Tuple[Tuple[int, FrozenSet[str]], ...]]] = None
 
+    def _shared(self, values) -> Tuple[int, ...]:
+        """``values`` (vertices) as a tuple of the context's one int
+        object per vertex.  ``bits_of_mask`` mints a new int for every
+        position above 256, so every cached tuple of vertices — the
+        closed neighborhoods, the BFS parents, the automorphism
+        witness — reads its members from one vertex tuple instead of
+        storing a copy of a vertex per entry."""
+        vertices = self._vertices
+        if vertices is None:
+            vertices = self._vertices = tuple(self.graph.vertices)
+        return tuple(map(vertices.__getitem__, values))
+
     # -- runner-side structure (decision-time legal) ---------------------
 
     @property
     def closed_neighborhoods(self) -> Tuple[Tuple[int, ...], ...]:
-        """``closed_neighborhoods[v]`` — the tuple every LocalView gets.
-
-        The members are one shared int object per vertex:
-        ``bits_of_mask`` mints a new int for every position above 256,
-        which would store a vertex once per neighborhood it is in."""
+        """``closed_neighborhoods[v]`` — the tuple every LocalView gets,
+        of shared vertex objects (:meth:`_shared`)."""
         if self._closed is None:
             graph = self.graph
-            vertex = tuple(graph.vertices).__getitem__
             self._closed = tuple(
-                tuple(map(vertex, graph.closed_neighborhood(v)))
+                self._shared(graph.closed_neighborhood(v))
                 for v in graph.vertices)
         return self._closed
 
@@ -148,22 +157,28 @@ class InstanceContext:
 
     def tree_advice(self, root: int) -> "TreeAdvice":
         """BFS spanning-tree advice rooted at ``root``, one BFS ever:
-        flat ``parent[v]`` / ``dist[v]`` sequences."""
+        flat ``parent[v]`` / ``dist[v]`` sequences, the parents shared
+        vertex objects (:meth:`_shared`)."""
         advice = self._tree_advice.get(root)
         if advice is None:
-            from ..network.spanning_tree import honest_tree_advice
-            advice = honest_tree_advice(self.graph, root)
+            from ..network.spanning_tree import (TreeAdvice,
+                                                 honest_tree_advice)
+            bfs = honest_tree_advice(self.graph, root)
+            advice = TreeAdvice(parent=self._shared(bfs.parent),
+                                dist=bfs.dist)
             self._tree_advice[root] = advice
         return advice
 
     def nontrivial_automorphism(self) -> Optional[Tuple[int, ...]]:
-        """The honest Sym provers' witness, searched exactly once.
+        """The honest Sym provers' witness, searched exactly once, of
+        shared vertex objects (:meth:`_shared`).
 
         ``None`` (an asymmetric graph) is cached too.
         """
         if self._automorphism is _UNSET:
             from ..graphs.automorphism import find_nontrivial_automorphism
-            self._automorphism = find_nontrivial_automorphism(self.graph)
+            rho = find_nontrivial_automorphism(self.graph)
+            self._automorphism = None if rho is None else self._shared(rho)
         return self._automorphism
 
     # -- batch-kernel structure (numpy engine) ---------------------------

@@ -3,23 +3,30 @@
 Both protocols share one algebraic skeleton, which is what makes them
 vectorizable: the prover commits to a mapping ρ, a root and a BFS tree
 that are **pure functions of the instance** (exposed through
-``Prover.batch_plan``), and the only challenge-dependent work is
+``Prover.batch_plan``).  Every verifier check but the root's (tree
+shape, broadcast consistency, range checks, aggregation equalities) is
+challenge-independent and passes by construction for these provers,
+whose aggregates are the truthful subtree sums Lemma 3.3 forces.  So a
+trial's verdict is the root's collision test ``a_r == b_r`` on the two
+totals Σa and Σb under the root's challenge, and a batch computes only
+that:
 
-1. hashing every node's adjacency row and ρ-image row under the root's
-   seed — a ``(trials, nodes)`` evaluation of the Theorem-3.2 family
+1. each trial's challenges in vertex order up to the root's, the one
+   coin the hashes read;
+2. every node's adjacency row and ρ-image row hashed under it — a
+   ``(trials, nodes)`` evaluation of the Theorem-3.2 family
    (:meth:`~repro.hashing.linear.LinearHashFamily.row_hash_batch`,
-   one int64 matmul per side),
-2. folding the per-node terms up the spanning tree (one prefix sum
-   over a DFS preorder, in which every subtree is a contiguous run), and
-3. the root's collision check ``a_r == b_r`` — the accept mask.
+   one int64 matmul per side);
+3. the two totals mod p, compared — the accept mask.
 
-Every other verifier check (tree shape, broadcast consistency, range
-checks, aggregation equalities) is challenge-independent and passes by
-construction for these provers, so the per-trial verdict reduces to
-the mask; the runner still cross-checks trial 0 of every batch against
-the reference engine (:class:`~repro.core.kernels.base.KernelMismatch`)
-so that this reduction can never silently drift from the real decision
-functions.
+A transcript (:meth:`_SymAggregateKernel.execution_result`) also needs
+every node's challenge and every subtree aggregate, so only it draws
+the full row and folds the terms up the spanning tree (one prefix sum
+over a DFS preorder, in which every subtree is a contiguous run).  Its
+verdict comes from the same function as the batch's, and the runner
+cross-checks it against the reference engine on trial 0 of every
+batch (:class:`~repro.core.kernels.base.KernelMismatch`), so the
+reduction can never silently drift from the real decision functions.
 
 Permutation ρ's ride the sparse path: both hash sides use the CSR
 closed adjacency (``InstanceContext.closed_adjacency_csr``), the image
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ...protocols import sym_dam, sym_dmam
 from ...protocols.sym_dam import (CommittedDAMProver, HonestSymDAMProver,
@@ -129,67 +136,63 @@ class _SymAggregateKernel(TrialKernel):
 
     # -- batch math ------------------------------------------------------
 
-    def _compute(self, seed: int, start: int,
-                 count: int) -> Dict[str, Any]:
+    def _root_coins(self, seed: int, start: int, count: int):
+        """The root's challenge in each of trials ``start ..
+        start+count-1`` — the one coin the hashes read.
+
+        Byte-compatible with the reference engine: trial t draws its
+        seeds from random.Random(seed + t) in vertex order, and the
+        root's is draw number root+1.  The bulk draw of root+1 values
+        is a prefix of the full n-value draw a transcript makes
+        (:meth:`execution_result`), so the root's coin is the same;
+        the Sym provers never touch the rng, so the stream may be
+        consumed past it."""
         np = require_numpy()
         p = self.p
-        n = self.n
-
-        tick = time.perf_counter()
-        # Per-trial challenge streams, byte-compatible with the
-        # reference engine: trial t draws n seeds from
-        # random.Random(seed + t) in vertex order.  The Sym provers
-        # never touch the rng, so these are the trial's only draws and
-        # the bulk draw may consume the stream past them.
-        challenges = np.empty((count, n), dtype=np.int64)
+        draws = self.root + 1
+        coins = np.empty(count, dtype=np.int64)
         for i in range(count):
-            challenges[i] = randrange_batch(
-                random.Random(seed + start + i), p, n)
-        arthur_seconds = time.perf_counter() - tick
+            coins[i] = randrange_batch(
+                random.Random(seed + start + i), p, draws)[-1]
+        return coins
 
-        tick = time.perf_counter()
-        # Both sides hash under the root's seeds: one table build.  Each
-        # side still gathers on its own, which keeps the transient
-        # (trials, nnz) array at one side's size.
-        tables = self.family.row_tables_batch(challenges[:, self.root], n)
+    def _hash_terms(self, coins):
+        """Both sides' per-node hash terms, ``(trials, nodes)`` each,
+        under each trial's root coin: one table build for both sides.
+        Each side still gathers on its own, which keeps the transient
+        (trials, nnz) array at one side's size."""
+        tables = self.family.row_tables_batch(coins, self.n)
         if self._csr is not None:
-            a_terms = self.family.row_hash_batch_csr(
-                tables, self._a_row_index, *self._csr)
-            b_terms = self.family.row_hash_batch_csr(
-                tables, self._b_row_index, *self._csr_image)
-        else:
-            a_terms = self.family.row_hash_batch(
-                tables, self._a_row_index, self._adjacency)
-            b_terms = self.family.row_hash_batch(
-                tables, self._b_row_index, self._image_rows)
-        a_values = self._aggregate(a_terms)
-        b_values = self._aggregate(b_terms)
-        merlin_seconds = time.perf_counter() - tick
+            return (self.family.row_hash_batch_csr(
+                        tables, self._a_row_index, *self._csr),
+                    self.family.row_hash_batch_csr(
+                        tables, self._b_row_index, *self._csr_image))
+        return (self.family.row_hash_batch(
+                    tables, self._a_row_index, self._adjacency),
+                self.family.row_hash_batch(
+                    tables, self._b_row_index, self._image_rows))
 
-        tick = time.perf_counter()
-        collide = a_values[:, self.root] == b_values[:, self.root]
-        if self._root_static_ok:
-            accepted = collide
-        else:  # pragma: no cover - provers guarantee a moved root
-            accepted = np.zeros(count, dtype=bool)
-        decide_seconds = time.perf_counter() - tick
+    def _verdict(self, a_terms, b_terms):
+        """The accept mask: the root's collision test ``a_r = b_r``.
 
-        return {
-            "challenges": challenges,
-            "a_values": a_values,
-            "b_values": b_values,
-            "accepted": accepted,
-            "phase": {"arthur": arthur_seconds,
-                      "merlin": merlin_seconds,
-                      "decide": decide_seconds},
-        }
+        For these provers ``a_r`` and ``b_r`` are the totals Σa and Σb
+        mod p (Lemma 3.3), so only the two totals are folded.  Both
+        kernel paths read their verdict here: :meth:`run_batch` for
+        every trial, :meth:`execution_result` for the one the runner
+        cross-checks.  The sums stay exact below n·p < 2⁶²
+        (``_check_sum_headroom``)."""
+        np = require_numpy()
+        if not self._root_static_ok:  # provers guarantee a moved root
+            return np.zeros(a_terms.shape[0], dtype=bool)
+        return (a_terms.sum(axis=1) % self.p
+                == b_terms.sum(axis=1) % self.p)
 
     def _aggregate(self, terms):
         """Fold per-node terms into subtree sums — the batched form of
-        the provers' truthful aggregates.  One cumulative sum in DFS
-        preorder; each subtree sum is the difference of two prefix
-        entries.  The sums stay exact below n·p < 2⁶²
-        (``_check_sum_headroom``)."""
+        the provers' truthful aggregates, which only a transcript
+        reads.  One cumulative sum in DFS preorder; each subtree sum is
+        the difference of two prefix entries.  The sums stay exact
+        below n·p < 2⁶² (``_check_sum_headroom``)."""
         np = require_numpy()
         prefix = np.zeros((terms.shape[0], self.n + 1), dtype=np.int64)
         np.cumsum(terms[:, self._order], axis=1, out=prefix[:, 1:])
@@ -203,8 +206,15 @@ class _SymAggregateKernel(TrialKernel):
     def run_batch(self, seed: int, start: int, count: int,
                   stop_on_first_reject: bool) -> TrialBatch:
         np = require_numpy()
-        computed = self._compute(seed, start, count)
-        accepted = computed["accepted"]
+        tick = time.perf_counter()
+        coins = self._root_coins(seed, start, count)
+        arthur_seconds = time.perf_counter() - tick
+        tick = time.perf_counter()
+        a_terms, b_terms = self._hash_terms(coins)
+        merlin_seconds = time.perf_counter() - tick
+        tick = time.perf_counter()
+        accepted = self._verdict(a_terms, b_terms)
+        decide_seconds = time.perf_counter() - tick
         n = self.n
         # The reference engine decides nodes in vertex order; every
         # node before the root accepts by construction, so a rejecting
@@ -218,32 +228,45 @@ class _SymAggregateKernel(TrialKernel):
             decide_calls=decide_calls,
             max_cost_bits=np.full(count, self._max_bits, dtype=np.int64),
             proof_bits=np.full(count, self._total_bits, dtype=np.int64),
-            phase_seconds=computed["phase"],
+            phase_seconds={"arthur": arthur_seconds,
+                           "merlin": merlin_seconds,
+                           "decide": decide_seconds},
         )
 
     def execution_result(self, seed: int, trial: int,
                          stop_on_first_reject: bool) -> ExecutionResult:
-        computed = self._compute(seed, trial, 1)
-        challenges = [int(x) for x in computed["challenges"][0]]
-        a_values = [int(x) for x in computed["a_values"][0]]
-        b_values = [int(x) for x in computed["b_values"][0]]
-        accepted = bool(computed["accepted"][0])
-        transcript = Transcript(
-            randomness={self.ARTHUR_ROUND: dict(enumerate(challenges))},
-            messages=self._messages(challenges[self.root], a_values,
-                                    b_values, range(self.n)))
+        np = require_numpy()
+        tick = time.perf_counter()
+        challenges = randrange_batch(random.Random(seed + trial), self.p,
+                                     self.n).tolist()
+        arthur_seconds = time.perf_counter() - tick
+        tick = time.perf_counter()
+        coin = challenges[self.root]
+        a_terms, b_terms = self._hash_terms(np.array([coin]))
+        a_values = self._aggregate(a_terms)[0].tolist()
+        b_values = self._aggregate(b_terms)[0].tolist()
+        merlin_seconds = time.perf_counter() - tick
+        tick = time.perf_counter()
+        accepted = bool(self._verdict(a_terms, b_terms)[0])
         if accepted:
             decisions = {v: True for v in range(self.n)}
         elif stop_on_first_reject:
             decisions = {v: v != self.root for v in range(self.root + 1)}
         else:
             decisions = {v: v != self.root for v in range(self.n)}
+        decide_seconds = time.perf_counter() - tick
+        transcript = Transcript(
+            randomness={self.ARTHUR_ROUND: dict(enumerate(challenges))},
+            messages=self._messages(coin, a_values, b_values,
+                                    range(self.n)))
         return ExecutionResult(
             accepted=accepted,
             decisions=decisions,
             transcript=transcript,
             node_cost_bits={v: self.node_bits[v] for v in range(self.n)},
-            phase_seconds=computed["phase"],
+            phase_seconds={"arthur": arthur_seconds,
+                           "merlin": merlin_seconds,
+                           "decide": decide_seconds},
             decide_calls=len(decisions),
         )
 

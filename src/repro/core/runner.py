@@ -148,7 +148,9 @@ def _decide_all(protocol: Protocol, instance: Instance,
 
     Round slices are materialized once per transcript; each node's
     view then indexes them directly by its closed neighborhood (the
-    caller filled every vertex, so no membership tests are needed).
+    caller filled every vertex, so no membership tests are needed),
+    filled by plain loops: a comprehension is one more call per round
+    per node.
     """
     plan = context.broadcast_plan(protocol)
     closed = context.closed_neighborhoods
@@ -160,15 +162,23 @@ def _decide_all(protocol: Protocol, instance: Instance,
     decisions: Dict[int, bool] = {}
     for v in instance.graph.vertices:
         closed_v = closed[v]
+        randomness: Dict[int, Dict[int, Any]] = {}
+        for r, vals in rand_rounds:
+            local = randomness[r] = {}
+            for u in closed_v:
+                local[u] = vals[u]
+        messages: Dict[int, Dict[int, NodeMessage]] = {}
+        for r, msgs in msg_rounds:
+            local = messages[r] = {}
+            for u in closed_v:
+                local[u] = msgs[u]
         view = LocalView(
             node=v,
             n=n,
             closed_neighborhood=closed_v,
             node_input=instance.input_of(v),
-            randomness={r: {u: vals[u] for u in closed_v}
-                        for r, vals in rand_rounds},
-            messages={r: {u: msgs[u] for u in closed_v}
-                      for r, msgs in msg_rounds},
+            randomness=randomness,
+            messages=messages,
         )
         ok = _decide_node(protocol, view, plan)
         decisions[v] = ok

@@ -33,7 +33,6 @@ import random
 from itertools import accumulate, repeat
 from typing import Sequence, Tuple
 
-from ..graphs.graph import bits_of_mask
 from .rowmatrix import MatrixSum
 
 
@@ -138,10 +137,18 @@ class LinearHashFamily:
         # leave a float table for the int seed to be served from.
         if not isinstance(seed, int):
             raise TypeError(f"seed must be an int, not {type(seed).__name__}")
-        self._check_seed(seed)
-        powers, offsets = _row_tables(self.p, seed, n)
-        return (offsets[i] * sum(map(powers.__getitem__,
-                                     bits_of_mask(row_bits)))) % self.p
+        p = self.p
+        if not 0 <= seed < p:
+            raise ValueError(f"seed {seed} outside [0, {p})")
+        powers, offsets = _row_tables(p, seed, n)
+        # Walk the set bits inline: every node of every trial hashes
+        # its rows here, so no position tuple is built per call.
+        total = 0
+        while row_bits:
+            low = row_bits & -row_bits
+            total += powers[low.bit_length() - 1]
+            row_bits ^= low
+        return offsets[i] * total % p
 
     # -- batched hashing (numpy trial kernels) ---------------------------
     #

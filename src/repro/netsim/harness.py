@@ -21,7 +21,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from ..core import Instance, execution_to_jsonable, run_protocol
+from ..core import (Instance, InstanceContext, execution_to_jsonable,
+                    run_protocol)
 from ..obs.session import active
 from ..core.model import Protocol
 from ..graphs import (DSymLayout, Graph, cycle_graph, dsym_graph,
@@ -222,6 +223,9 @@ def fault_matrix(seed: int = GOLDEN_SEED, trials: int = 20,
     """
     protocol = SymDMAMProtocol(n)
     instance = Instance(cycle_graph(n))
+    # One context for every run: the honest prover's automorphism
+    # search and spanning tree are instance structure, found once.
+    context = InstanceContext(instance, protocol)
     analytic = 1.0 - equality_scheme(protocol.family.seed_bits).error_bound
     sess = active()
     metrics_on = sess is not None and sess.metrics_enabled
@@ -242,7 +246,8 @@ def fault_matrix(seed: int = GOLDEN_SEED, trials: int = 20,
                                     random.Random(seed + t),
                                     faults=spec["faults"],
                                     crosscheck=spec["crosscheck"],
-                                    net_seed=seed + t, trace=False)
+                                    net_seed=seed + t, context=context,
+                                    trace=False)
                 accepted += result.accepted
                 detected += result.broadcast_violations > 0
                 lost += result.lost_frames

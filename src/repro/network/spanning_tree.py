@@ -114,16 +114,14 @@ def children_of(view: LocalView, round_idx: int, root: int,
     """``C(v)``: neighbors that claim this node as their tree parent.
 
     The root is never anyone's child (see module hardening note).
+    Walks the closed neighborhood in place, skipping the node itself,
+    so no neighbor tuple is built per call.
     """
     v = view.node
-    result = []
-    for u in view.neighbors:
-        if u == root:
-            continue
-        msg = view.message_of(round_idx, u)
-        if msg.get(parent_field) == v:
-            result.append(u)
-    return result
+    messages = view.messages[round_idx]
+    return [u for u in view.closed_neighborhood
+            if u != v and u != root
+            and messages[u].get(parent_field) == v]
 
 
 def subtree_vertices(advice: TreeAdvice, v: int) -> List[int]:

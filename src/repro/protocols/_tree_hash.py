@@ -26,9 +26,10 @@ parsing and range checks.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..core.model import Instance, LocalView, Protocol, ProtocolViolation
+from ..core.model import (Instance, LocalView, Protocol, ProtocolViolation,
+                          bits_for_identifier, bits_for_value)
 from ..graphs.graph import Graph
 from ..hashing.linear import LinearHashFamily
 from ..hashing.rowmatrix import image_bits
@@ -40,20 +41,23 @@ FIELD_A = "a"
 FIELD_B = "b"
 
 
-def check_aggregate(view: LocalView, tree_round: int, value_round: int,
-                    root: int, field: str, own_term: int, p: int) -> bool:
+def check_aggregate(view: LocalView, value_round: int, field: str,
+                    own_term: int, children: Sequence[int], p: int) -> bool:
     """Node-local aggregation check for one field (Protocol 1/2, line 3).
 
-    ``own_term`` is this node's contribution (already reduced mod p);
-    the parent pointers live in round ``tree_round`` messages and the
-    aggregate values in round ``value_round`` messages.
+    ``own_term`` is this node's contribution (already reduced mod p),
+    ``children`` its ``C(v)`` from
+    :func:`~repro.network.spanning_tree.children_of` — found once per
+    node for every field it checks — and the aggregate values live in
+    round ``value_round`` messages.
     """
     own_value = view.own_message(value_round)[field]
     if not isinstance(own_value, int) or not 0 <= own_value < p:
         return False
     total = own_term % p
-    for u in children_of(view, tree_round, root):
-        child_value = view.message_of(value_round, u)[field]
+    values = view.messages[value_round]
+    for u in children:
+        child_value = values[u][field]
         if not isinstance(child_value, int) or not 0 <= child_value < p:
             return False
         total = (total + child_value) % p
@@ -70,7 +74,8 @@ def honest_aggregates(graph: Graph, advice: TreeAdvice,
     """
     values = {v: own_term(v) % p for v in graph.vertices}
     # Process deepest-first so children are final before their parent.
-    order = sorted(graph.vertices, key=lambda v: advice.dist[v], reverse=True)
+    order = sorted(graph.vertices, key=advice.dist.__getitem__,
+                   reverse=True)
     for v in order:
         parent = advice.parent[v]
         if parent != v:
@@ -106,13 +111,19 @@ def closed_row_bits(view: LocalView) -> int:
 class MappingHashProtocol(Protocol):
     """The commit-hash-aggregate protocols on ``n`` vertices: the
     Theorem 3.2 family whose dimension covers the n×n matrix, the
-    instance-size check, and Arthur's one seed per node."""
+    instance-size check, Arthur's one seed per node, and the field
+    widths every ``merlin_bits`` charges: ``id_bits`` for an
+    identifier or distance, ``value_bits`` for an aggregate in [p)
+    and ``seed_bits`` for the echoed seed, computed once."""
 
     def __init__(self, n: int, family: LinearHashFamily) -> None:
         self.n = n
         self.family = family
         if family.m < n * n:
             raise ValueError("hash dimension must cover the n×n matrix")
+        self.id_bits = bits_for_identifier(n)
+        self.value_bits = bits_for_value(family.p)
+        self.seed_bits = family.seed_bits
 
     def validate_instance(self, instance: Instance) -> None:
         super().validate_instance(instance)
@@ -125,7 +136,7 @@ class MappingHashProtocol(Protocol):
         return self.family.sample_seed(rng)
 
     def arthur_bits(self, instance: Instance, round_idx: int) -> int:
-        return self.family.seed_bits
+        return self.seed_bits
 
 
 def check_mapping_hash(view: LocalView, family: LinearHashFamily,
@@ -143,11 +154,10 @@ def check_mapping_hash(view: LocalView, family: LinearHashFamily,
     p = family.p
     a_term = family.hash_row_matrix(seed, view.n, view.node, own_row)
     b_term = family.hash_row_matrix(seed, view.n, image_node, image_row)
-    if not check_aggregate(view, tree_round, value_round, root, FIELD_A,
-                           a_term, p):
+    children = children_of(view, tree_round, root)
+    if not check_aggregate(view, value_round, FIELD_A, a_term, children, p):
         return False
-    if not check_aggregate(view, tree_round, value_round, root, FIELD_B,
-                           b_term, p):
+    if not check_aggregate(view, value_round, FIELD_B, b_term, children, p):
         return False
     if view.node == root:
         values = view.own_message(value_round)
@@ -158,24 +168,59 @@ def check_mapping_hash(view: LocalView, family: LinearHashFamily,
     return True
 
 
+def adjacency_terms(family: LinearHashFamily, seed: int,
+                    graph: Graph) -> List[int]:
+    """Every node's ``a`` term ``h_seed([v, N(v)])``, in vertex order:
+    its share of the adjacency matrix ``Σ_v [v, N(v)]``."""
+    n = graph.n
+    hash_row = family.hash_row_matrix
+    return [hash_row(seed, n, v, graph.closed_row(v)) for v in range(n)]
+
+
+def image_terms(family: LinearHashFamily, seed: int, graph: Graph,
+                rho: Sequence[int]) -> List[int]:
+    """Every node's ``b`` term ``h_seed([ρ(v), ρ(N(v))])``, in vertex
+    order: its share of the ρ-permuted matrix (ρ any mapping)."""
+    n = graph.n
+    hash_row = family.hash_row_matrix
+    return [hash_row(seed, n, rho[v], image_bits(graph.closed_row(v), rho, n))
+            for v in range(n)]
+
+
 def adjacency_aggregates(family: LinearHashFamily, seed: int, graph: Graph,
                          advice: TreeAdvice) -> Dict[int, int]:
-    """The truthful ``a`` side: subtree sums of ``h_seed([v, N(v)])``."""
-    n = graph.n
+    """The truthful ``a`` side: subtree sums of the ``a`` terms."""
     return honest_aggregates(
-        graph, advice,
-        lambda v: family.hash_row_matrix(seed, n, v, graph.closed_row(v)),
+        graph, advice, adjacency_terms(family, seed, graph).__getitem__,
         family.p)
 
 
 def image_aggregates(family: LinearHashFamily, seed: int, graph: Graph,
                      advice: TreeAdvice,
                      rho: Sequence[int]) -> Dict[int, int]:
-    """The truthful ``b`` side: subtree sums of
-    ``h_seed([ρ(v), ρ(N(v))])``."""
-    n = graph.n
+    """The truthful ``b`` side: subtree sums of the ``b`` terms."""
     return honest_aggregates(
-        graph, advice,
-        lambda v: family.hash_row_matrix(
-            seed, n, rho[v], image_bits(graph.closed_row(v), rho, n)),
+        graph, advice, image_terms(family, seed, graph, rho).__getitem__,
         family.p)
+
+
+def moved_root(rho: Sequence[int]) -> int:
+    """The smallest vertex ρ moves: the root every Sym prover's
+    spanning tree hangs from, so the root check ``ρ(r) ≠ r`` holds.
+    ``ValueError`` if ρ moves none."""
+    for v, image in enumerate(rho):
+        if image != v:
+            return v
+    raise ValueError("the mapping moves no vertex")
+
+
+def honest_rho(context) -> Tuple[int, ...]:
+    """The honest Sym provers' ρ: the non-trivial automorphism of the
+    context's graph.  Raises ``ProtocolViolation`` on an asymmetric
+    graph, where no honest commitment exists."""
+    rho = context.nontrivial_automorphism()
+    if rho is None:
+        raise ProtocolViolation(
+            "honest prover run on an asymmetric graph — "
+            "completeness only applies to YES instances")
+    return rho

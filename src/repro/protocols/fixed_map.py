@@ -30,7 +30,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Mapping, Optional,
 
 from ..core.model import (Instance, LocalView, NodeMessage,
                           ProtocolViolation, Prover, PATTERN_DAM,
-                          bits_for_identifier, bits_for_value, field_cost)
+                          field_cost)
 from ..hashing.linear import LinearHashFamily
 from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, TreeAdvice,
@@ -108,11 +108,11 @@ class FixedMappingProtocol(MappingHashProtocol):
 
     def merlin_bits(self, instance: Instance, round_idx: int,
                     message: NodeMessage) -> int:
-        id_bits = bits_for_identifier(self.n)
-        value_bits = bits_for_value(self.family.p)
+        id_bits = self.id_bits
+        value_bits = self.value_bits
         # Per-field charging: malformed fields cost 0 bits (they ride
         # the codec escape lane and make the node reject).
-        return (field_cost(message, FIELD_SEED, self.family.seed_bits)
+        return (field_cost(message, FIELD_SEED, self.seed_bits)
                 + field_cost(message, FIELD_PARENT, id_bits)
                 + field_cost(message, FIELD_DIST, id_bits)
                 + field_cost(message, FIELD_A, value_bits)

@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, Mapping, Sequence
 from ..core.model import (Instance, LocalView, NodeMessage, Protocol,
                           ProtocolViolation, Prover, PATTERN_DNP,
                           bits_for_identifier, field_cost, tuple_field_cost)
-from ..graphs.automorphism import find_nontrivial_automorphism
 from ..graphs.dumbbell import DSymLayout, dsym_automorphism
 from ..graphs.graph import Graph
 from ..hashing.rowmatrix import image_bits
@@ -130,7 +129,8 @@ class _SymLCPProver(Prover):
                 own_messages: Mapping[int, Mapping[int, NodeMessage]],
                 rng: random.Random) -> Dict[int, NodeMessage]:
         graph = instance.graph
-        rho = find_nontrivial_automorphism(graph)
+        # The context's witness: one search per instance, not per trial.
+        rho = self.acquire_context(instance).nontrivial_automorphism()
         if rho is None:
             raise ProtocolViolation(
                 "honest prover run on an asymmetric graph")

@@ -33,8 +33,7 @@ from typing import (Dict, FrozenSet, Iterable, Mapping, Optional, Sequence,
 
 from ..core.model import (Instance, LocalView, NodeMessage,
                           ProtocolViolation, Prover, PATTERN_DAM,
-                          bits_for_identifier, bits_for_value, field_cost,
-                          tuple_field_cost)
+                          field_cost, tuple_field_cost)
 from ..graphs.graph import Graph
 from ..hashing.linear import LinearHashFamily
 from ..hashing.primes import prime_in_range
@@ -42,8 +41,9 @@ from ..hashing.rowmatrix import image_bits
 from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, FIELD_ROOT,
                                      TreeAdvice, tree_check)
 from ._tree_hash import (FIELD_A, FIELD_B, FIELD_SEED, MappingHashProtocol,
-                         adjacency_aggregates, check_mapping_hash,
-                         closed_row_bits, image_aggregates)
+                         adjacency_aggregates, adjacency_terms,
+                         check_mapping_hash, closed_row_bits, honest_rho,
+                         image_aggregates, image_terms, moved_root)
 from .analysis import all_swaps
 
 FIELD_RHO_TABLE = "rho_table"
@@ -102,12 +102,12 @@ class SymDAMProtocol(MappingHashProtocol):
 
     def merlin_bits(self, instance: Instance, round_idx: int,
                     message: NodeMessage) -> int:
-        id_bits = bits_for_identifier(self.n)
-        value_bits = bits_for_value(self.family.p)
+        id_bits = self.id_bits
+        value_bits = self.value_bits
         # The full mapping table plus tree/aggregate fields; each field
         # is charged only if wire-encodable (malformed costs 0 bits).
         return (tuple_field_cost(message, FIELD_RHO_TABLE, self.n, id_bits)
-                + field_cost(message, FIELD_SEED, self.family.seed_bits)
+                + field_cost(message, FIELD_SEED, self.seed_bits)
                 + field_cost(message, FIELD_ROOT, id_bits)
                 + field_cost(message, FIELD_PARENT, id_bits)
                 + field_cost(message, FIELD_DIST, id_bits)
@@ -161,7 +161,7 @@ def _mapping_response(protocol: SymDAMProtocol, graph: Graph,
     different moved vertex."""
     family = protocol.family
     if root is None:
-        root = min(v for v in graph.vertices if rho[v] != v)
+        root = moved_root(rho)
     advice = context.tree_advice(root)
     return mapping_messages(
         rho, seed, root, advice,
@@ -196,13 +196,8 @@ class HonestSymDAMProver(_PlannedMappingProver):
     def batch_plan(self, context):
         """A non-trivial automorphism and the smallest vertex it moves
         (same contract as ``HonestSymDMAMProver.batch_plan``)."""
-        rho = context.nontrivial_automorphism()
-        if rho is None:
-            raise ProtocolViolation(
-                "honest prover run on an asymmetric graph — "
-                "completeness only applies to YES instances")
-        root = min(v for v in context.graph.vertices if rho[v] != v)
-        return {"rho": rho, "root": root}
+        rho = honest_rho(context)
+        return {"rho": rho, "root": moved_root(rho)}
 
 
 class CommittedDAMProver(_PlannedMappingProver):
@@ -237,18 +232,6 @@ class CommittedDAMProver(_PlannedMappingProver):
         and challenge-independent by design, so the numpy batch engine
         can replay this prover wholesale."""
         return {"rho": self.mapping, "root": self.root}
-
-
-def _hash_of_mapping(family: LinearHashFamily, graph: Graph, seed: int,
-                     rho: Sequence[int]) -> int:
-    """``h_seed(Σ_v [ρ(v), ρ(N(v))])`` computed row by row."""
-    n = graph.n
-    total = 0
-    for v in graph.vertices:
-        row = image_bits(graph.closed_row(v), rho, n)
-        total = (total + family.hash_row_matrix(seed, n, rho[v], row)) \
-            % family.p
-    return total
 
 
 class AdaptiveCollisionProver(Prover):
@@ -300,6 +283,7 @@ class AdaptiveCollisionProver(Prover):
             raise ProtocolViolation(f"unexpected Merlin round {round_idx}")
         graph = instance.graph
         family = self.protocol.family
+        p = family.p
         n = graph.n
 
         fallback: Optional[Tuple[int, ...]] = None
@@ -318,15 +302,12 @@ class AdaptiveCollisionProver(Prover):
                 break
             # The root is determined by the candidate (the protocol's
             # root check ties the seed to the root's challenge).
-            root = min(v for v in range(n) if rho[v] != v)
-            seed = randomness[ROUND_A0][root]
+            seed = randomness[ROUND_A0][moved_root(rho)]
             a_total = a_totals.get(seed)
             if a_total is None:
-                a_total = sum(family.hash_row_matrix(
-                    seed, n, v, graph.closed_row(v))
-                    for v in graph.vertices) % family.p
+                a_total = sum(adjacency_terms(family, seed, graph)) % p
                 a_totals[seed] = a_total
-            if _hash_of_mapping(family, graph, seed, rho) == a_total:
+            if sum(image_terms(family, seed, graph, rho)) % p == a_total:
                 chosen = rho
                 chosen_seed = seed
                 self.last_search_succeeded = True
@@ -335,8 +316,7 @@ class AdaptiveCollisionProver(Prover):
         if chosen is None:
             assert fallback is not None
             chosen = fallback
-            root = min(v for v in range(n) if chosen[v] != v)
-            chosen_seed = randomness[ROUND_A0][root]
+            chosen_seed = randomness[ROUND_A0][moved_root(chosen)]
         assert chosen_seed is not None
         return _mapping_response(self.protocol, graph, chosen, chosen_seed,
                                  self.acquire_context(instance))

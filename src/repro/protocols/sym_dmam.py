@@ -35,7 +35,7 @@ from typing import (Dict, FrozenSet, Iterable, Mapping, Optional, Sequence,
 
 from ..core.model import (Instance, LocalView, NodeMessage,
                           ProtocolViolation, Prover, PATTERN_DMAM,
-                          bits_for_identifier, bits_for_value, field_cost)
+                          field_cost)
 from ..graphs.graph import Graph
 from ..hashing.linear import LinearHashFamily
 from ..hashing.primes import theorem32_prime_window
@@ -43,7 +43,8 @@ from ..network.spanning_tree import (FIELD_DIST, FIELD_PARENT, FIELD_ROOT,
                                      TreeAdvice, tree_check)
 from ._tree_hash import (FIELD_A, FIELD_B, FIELD_SEED, MappingHashProtocol,
                          adjacency_aggregates, check_mapping_hash,
-                         closed_row_bits, image_aggregates, rho_image_row)
+                         closed_row_bits, honest_rho, image_aggregates,
+                         moved_root, rho_image_row)
 
 FIELD_RHO = "rho"
 
@@ -114,17 +115,18 @@ class SymDMAMProtocol(MappingHashProtocol):
 
     def merlin_bits(self, instance: Instance, round_idx: int,
                     message: NodeMessage) -> int:
-        id_bits = bits_for_identifier(self.n)
         if round_idx == ROUND_M0:
             # root + rho + parent are identifiers; dist is in [0, n).
             # Each field is charged only if wire-encodable — malformed
             # fields cost 0 bits (the codec escape-lane convention).
-            return sum(field_cost(message, name, id_bits)
-                       for name in (FIELD_ROOT, FIELD_RHO,
-                                    FIELD_PARENT, FIELD_DIST))
+            id_bits = self.id_bits
+            return (field_cost(message, FIELD_ROOT, id_bits)
+                    + field_cost(message, FIELD_RHO, id_bits)
+                    + field_cost(message, FIELD_PARENT, id_bits)
+                    + field_cost(message, FIELD_DIST, id_bits))
         if round_idx == ROUND_M2:
-            value_bits = bits_for_value(self.family.p)
-            return (field_cost(message, FIELD_SEED, self.family.seed_bits)
+            value_bits = self.value_bits
+            return (field_cost(message, FIELD_SEED, self.seed_bits)
                     + field_cost(message, FIELD_A, value_bits)
                     + field_cost(message, FIELD_B, value_bits))
         raise ValueError(f"round {round_idx} is not a Merlin round")
@@ -185,8 +187,7 @@ class _CommitThenAggregateProver(Prover):
         exactly the ρ and root ``respond`` commits to, including any
         ``ProtocolViolation`` its first response would raise."""
         rho = self.committed_rho(context)
-        root = min(v for v in context.graph.vertices if rho[v] != v)
-        return {"rho": rho, "root": root}
+        return {"rho": rho, "root": moved_root(rho)}
 
     def respond(self, instance: Instance, round_idx: int,
                 randomness: Mapping[int, Mapping[int, int]],
@@ -219,12 +220,7 @@ class HonestSymDMAMProver(_CommitThenAggregateProver):
     true subtree hash aggregates."""
 
     def committed_rho(self, context) -> Tuple[int, ...]:
-        rho = context.nontrivial_automorphism()
-        if rho is None:
-            raise ProtocolViolation(
-                "honest prover run on an asymmetric graph — "
-                "completeness only applies to YES instances")
-        return rho
+        return honest_rho(context)
 
 
 class CommittedMappingProver(_CommitThenAggregateProver):

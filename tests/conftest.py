@@ -41,3 +41,25 @@ def path5():
 @pytest.fixture
 def k5():
     return complete_graph(5)
+
+
+@pytest.fixture
+def automorphism_searches():
+    """``count(func, *args)``: ``func(*args)`` and how many automorphism
+    searches it made.
+
+    Profiled rather than patched, so every call of the one search
+    function counts, whatever name its caller imported it under."""
+    import cProfile
+    import pstats
+
+    from repro.graphs import automorphism
+    code = automorphism.find_nontrivial_automorphism.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+
+    def count(func, *args):
+        profile = cProfile.Profile()
+        result = profile.runcall(func, *args)
+        stats = pstats.Stats(profile).stats
+        return result, stats[key][1] if key in stats else 0
+    return count

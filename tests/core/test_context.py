@@ -183,6 +183,26 @@ class TestContextCaches:
             for u in members:
                 assert first.setdefault(u, u) is u
 
+    def test_witness_and_advice_share_vertex_ints(self):
+        """The automorphism witness and the BFS parents hold the
+        closed neighborhoods' vertex objects, not ints the searches
+        minted above 256."""
+        from repro.graphs import cycle_graph
+        from repro.graphs.automorphism import find_nontrivial_automorphism
+        graph = cycle_graph(600)
+        ctx = InstanceContext(Instance(graph))
+        rho = ctx.nontrivial_automorphism()
+        root = min(v for v in graph.vertices if rho[v] != v)
+        advice = ctx.tree_advice(root)
+        assert rho == find_nontrivial_automorphism(graph)
+        assert advice == honest_tree_advice(graph, root)
+        shared = {}
+        for members in ctx.closed_neighborhoods:
+            for u in members:
+                shared.setdefault(u, u)
+        for u in rho + advice.parent:
+            assert shared[u] is u
+
     def test_tree_advice_matches_direct(self, cycle8):
         ctx = InstanceContext(Instance(cycle8))
         assert ctx.tree_advice(3) == honest_tree_advice(cycle8, 3)

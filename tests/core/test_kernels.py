@@ -37,8 +37,9 @@ from repro.core.kernels import (KernelMismatch, MAX_MODULUS_BITS,
 from repro.core.kernels._np import randrange_batch
 from repro.core.runner import _verify_kernel
 from repro.core.kernels.sym import SymDMAMKernel
-from repro.graphs import (cycle_graph, path_graph, random_connected_graph,
-                          random_tree, rigid_family_exhaustive, star_graph)
+from repro.graphs import (Graph, cycle_graph, path_graph,
+                          random_connected_graph, random_tree,
+                          rigid_family_exhaustive, star_graph)
 from repro.hashing import LinearHashFamily, next_prime
 from repro.network.spanning_tree import subtree_vertices
 from repro.protocols import (CommittedDAMProver, CommittedMappingProver,
@@ -320,21 +321,58 @@ class TestChallengeDraws:
                 randrange_batch(random.Random(0), p, 1)
 
     @pytest.mark.parametrize("kind, n", [
-        ("dmam-honest", 12), ("dmam-committed", 9), ("dam-committed", 8),
-        ("dmam-honest", 1024)])
+        ("dmam-honest", 12), ("dmam-committed", 9), ("dam-honest", 10),
+        ("dam-committed", 8), ("dmam-honest", 1024)])
     def test_every_trial_draws_its_own_stream(self, kind, n):
-        protocol, instance, make_prover = _case(kind, n, graph_seed=5)
+        if n < 1024:
+            protocol, instance, make_prover = _late_root_case(kind, n)
+        else:
+            protocol, instance, make_prover = _case(kind, n, graph_seed=5)
         prover = make_prover()
         context = InstanceContext(instance, protocol)
         prover.bind_context(context)
         kernel = find_kernel(protocol, instance, prover, context)
+        if n < 1024:
+            assert kernel.root >= n // 2
         p = protocol.family.p
         seed, start, count = 2018, 3, 6
-        challenges = kernel._compute(seed, start, count)["challenges"]
-        assert challenges.shape == (count, n)
-        for i, row in enumerate(challenges.tolist()):
-            rng = random.Random(seed + start + i)
-            assert row == [rng.randrange(p) for _ in range(n)], i
+        streams = [random.Random(seed + start + i) for i in range(count)]
+        expected = [[rng.randrange(p) for _ in range(n)] for rng in streams]
+        # The transcript path draws every node's coin.
+        for i, row in enumerate(expected):
+            result = kernel.execution_result(seed, start + i, True)
+            randomness = result.transcript.randomness[kernel.ARTHUR_ROUND]
+            assert randomness == dict(enumerate(row)), i
+        # The batch path draws up to the root's coin, the one its
+        # verdict reads.
+        coins = kernel._root_coins(seed, start, count)
+        assert coins.tolist() == [row[kernel.root] for row in expected]
+
+
+def _late_root_case(kind: str, n: int):
+    """:func:`_case`'s four kernel shapes with the root at n//2 or
+    beyond, so a batch draws many coins before the root's.  The graph
+    is a path that forks into two leaves at one end; the honest
+    provers commit to swapping the leaves (its only non-trivial
+    automorphism), the committed ones move vertex n//2."""
+    edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    tailed = Instance(Graph(n, edges))
+    late = n // 2
+    swap = list(range(n))
+    swap[late], swap[n - 1] = n - 1, late
+    if kind == "dmam-honest":
+        protocol = SymDMAMProtocol(n)
+        return protocol, tailed, protocol.honest_prover
+    if kind == "dmam-committed":
+        protocol = SymDMAMProtocol(n)
+        return protocol, tailed, lambda: CommittedMappingProver(protocol,
+                                                                swap)
+    protocol = _small_dam_protocol(n)
+    if kind == "dam-honest":
+        return protocol, tailed, protocol.honest_prover
+    mapping = [v // 2 for v in range(n)]  # not a permutation
+    return protocol, tailed, lambda: CommittedDAMProver(protocol, mapping,
+                                                        root=late)
 
 
 class TestFallback:

@@ -207,6 +207,14 @@ class TestFaultMatrix:
         assert all("counters_match" not in row
                    for row in matrix["rows"])
 
+    def test_one_automorphism_search_per_matrix(self,
+                                                automorphism_searches):
+        # Every row and trial runs on one context, so the honest
+        # prover's witness is searched once for the whole matrix.
+        matrix, searches = automorphism_searches(fault_matrix, SEED, 3)
+        assert searches == 1
+        assert matrix["all_ok"]
+
     def test_detection_beats_analytic_bound(self):
         matrix = fault_matrix(SEED, trials=25)
         row = matrix["rows"][-1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (Instance, ProtocolViolation, RandomGarbageProver,
-                        TamperingProver, run_protocol)
+                        TamperingProver, run_protocol, run_trials)
 from repro.graphs import (DSymLayout, Graph, complete_graph, cycle_graph,
                           dsym_graph, dsym_no_instance, path_graph,
                           star_graph)
@@ -139,6 +139,17 @@ class TestSymLCP:
             {(0, 2, FIELD_MATRIX): lambda m: m ^ (1 << 7)})
         result = run_protocol(protocol, Instance(graph), prover, rng)
         assert not result.accepted
+
+    def test_one_automorphism_search_per_context(self,
+                                                 automorphism_searches):
+        # The prover reads the context's witness, so a batch searches
+        # once, not once per trial.
+        protocol = SymLCP(8)
+        estimate, searches = automorphism_searches(
+            run_trials, protocol, Instance(cycle_graph(8)),
+            protocol.honest_prover(), 6, 3)
+        assert searches == 1
+        assert estimate.accepted == 6
 
 
 class TestDSymLCP:
