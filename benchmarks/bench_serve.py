@@ -12,8 +12,8 @@ Two properties are *asserted*, not just reported:
 
 * **byte-identity** — every success response's ``result`` object must
   equal ``result_payload`` over a direct ``run_trials`` call with the
-  same job (same seeds, warm context).  Batching and caching may never
-  change a result.
+  same job (same seeds, warm context).  Caching may never change a
+  result.
 * **throughput floor** — in full mode the python engine must sustain
   ≥ 1000 verifications/sec on n=8 Sym/dMAM jobs.  Skipped under
   ``BENCH_QUICK=1`` (tiny workloads are all setup noise).
@@ -41,8 +41,8 @@ TRIALS_PER_JOB = pick(25, 5)
 CONCURRENCY = pick(32, 8)
 SEED = 0xC0FFEE
 
-#: The job mix: four content addresses so batching groups and the
-#: sharded cache both see traffic (all small Sym instances).
+#: The job mix: four content addresses so the instance cache sees
+#: traffic (all small Sym instances).
 COMBOS = (
     ("sym-dmam", "cycle", 8),
     ("sym-dmam", "cycle", 12),
@@ -70,7 +70,7 @@ async def _drive(engine):
     Returns ``(responses, latencies_ms, wall_seconds, stats)``.
     """
     service = VerifyService(ServeConfig(
-        queue_limit=max(JOBS, 64), batch_max=32, pool_threads=2,
+        queue_limit=max(JOBS, 64), pool_threads=2,
         default_engine=engine))
     await service.start()
     payloads = _payloads(engine)
@@ -161,8 +161,6 @@ def _scenario(engine):
         "p99_ms": _percentile(latencies, 0.99),
         "max_ms": latencies[-1],
         "cache_hits": stats["cache"]["hits"],
-        "batches": stats["counts"]["batches"],
-        "batched_jobs": stats["counts"]["batched_jobs"],
     }
 
 
@@ -186,8 +184,6 @@ def test_serve_load(benchmark, engine):
          ["p50 latency (ms)", f"{summary['p50_ms']:.2f}"],
          ["p99 latency (ms)", f"{summary['p99_ms']:.2f}"],
          ["max latency (ms)", f"{summary['max_ms']:.2f}"],
-         ["batches dispatched", summary["batches"]],
-         ["jobs batched", summary["batched_jobs"]],
          ["cache hits", summary["cache_hits"]]])
     if not QUICK and engine == "python":
         # The acceptance floor: small Sym/dMAM jobs must sustain

@@ -21,7 +21,7 @@ Three ideas:
   registry with order-deterministic worker merging.
 
 Live telemetry (:mod:`repro.obs.live`) adds Prometheus text
-exposition, bounded metric/trace rings behind the serve HTTP
+exposition, a bounded trace ring behind the serve HTTP
 endpoints, and :func:`stitch_spans` — the cross-process trace
 reassembly over the ``trace_context()``/``adopt_context()`` meta
 links.  The bench trajectory (:mod:`repro.obs.history`) is the
@@ -37,9 +37,9 @@ from .history import (HISTORY_FILE, append_records, bench_mode,
                       effective_history, git_sha, load_history,
                       make_record, regress_report)
 from .io import ObsRun, default_obs_root, load_run, resolve_run
-from .live import (MetricsRing, TraceRing, histogram_quantile,
-                   metric_scalar, prometheus_name, prometheus_text,
-                   snapshot_deltas, stitch_spans)
+from .live import (TraceRing, histogram_quantile, metric_scalar,
+                   prometheus_name, prometheus_text, snapshot_deltas,
+                   stitch_spans)
 from .profiling import PROFILE_CPROFILE, PROFILE_MODES, PROFILE_TRACEMALLOC, \
     profiled
 from .recorder import BenchRecorder, bench_id
@@ -59,7 +59,6 @@ __all__ = [
     "HISTORY_FILE",
     "Histogram",
     "MetricsRegistry",
-    "MetricsRing",
     "NS_ADVERSARY",
     "NS_LAB",
     "NS_NETSIM",

@@ -1,4 +1,4 @@
-"""Live telemetry: exposition, ring buffers, and trace stitching.
+"""Live telemetry: exposition, the trace ring, and trace stitching.
 
 Three small, dependency-free pieces behind ``repro.obs.live``:
 
@@ -7,12 +7,9 @@ Three small, dependency-free pieces behind ``repro.obs.live``:
   escaped help strings, power-of-two histogram buckets as cumulative
   ``le`` series) — the payload behind the serve ``GET /v1/metrics``
   endpoint.
-* :class:`MetricsRing` / :class:`TraceRing` are bounded, lock-light
-  ring buffers: a single writer (the serve event loop) publishes
-  snapshots / finished request traces, readers copy slots under the
-  GIL.  Memory is bounded by construction; the disabled path —
-  :meth:`MetricsRing.maybe_push` with no session — is one ``None``
-  check, covered by the ``bench_obs`` ≤3% overhead gate.
+* :class:`TraceRing` is a bounded map of finished request traces: a
+  single writer (the serve event loop) publishes them, readers copy
+  entries under the GIL.  Memory is bounded by construction.
 * :func:`stitch_spans` reconstructs logical span trees from the
   meta-only trace/span/parent links that :func:`repro.obs.session.
   adopt_context` stamps on buffer roots, reporting orphans — the gate
@@ -23,7 +20,6 @@ Three small, dependency-free pieces behind ``repro.obs.live``:
 from __future__ import annotations
 
 import re
-from time import time as wall_time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .metrics import KIND_COUNTER, KIND_GAUGE, KIND_HISTOGRAM
@@ -101,65 +97,7 @@ def prometheus_text(snapshot: Dict[str, Dict[str, Any]],
     return "\n".join(lines) + "\n" if lines else ""
 
 
-# -- ring buffers --------------------------------------------------------
-
-
-class MetricsRing:
-    """A bounded ring of timestamped registry snapshots.
-
-    Single-writer (the serve event loop pushes at most one snapshot per
-    ``interval`` seconds); readers take list copies under the GIL, so
-    no lock is ever held on the hot path.  With no ambient session,
-    :meth:`maybe_push` is one ``None`` check — the exposition hook's
-    entire disabled cost.
-    """
-
-    def __init__(self, capacity: int = 64,
-                 interval: float = 0.25) -> None:
-        self.capacity = max(1, capacity)
-        self.interval = interval
-        self._slots: List[Optional[Dict[str, Any]]] = \
-            [None] * self.capacity
-        self._count = 0
-        self._last_push = 0.0
-
-    def maybe_push(self, sess, now: Optional[float] = None) -> bool:
-        """Push the session's snapshot unless inside the throttle
-        window; no-op (False) when observability is off."""
-        if sess is None:
-            return False
-        if now is None:
-            now = wall_time()
-        if self._count and now - self._last_push < self.interval:
-            return False
-        self.push(sess.metrics.snapshot(), now)
-        return True
-
-    def push(self, snapshot: Dict[str, Dict[str, Any]],
-             now: Optional[float] = None) -> None:
-        if now is None:
-            now = wall_time()
-        self._slots[self._count % self.capacity] = \
-            {"ts": now, "metrics": snapshot}
-        self._count += 1
-        self._last_push = now
-
-    def __len__(self) -> int:
-        return min(self._count, self.capacity)
-
-    def window(self) -> List[Dict[str, Any]]:
-        """All retained snapshots, oldest first."""
-        slots = self._slots[:]
-        count = self._count
-        if count <= self.capacity:
-            return [slot for slot in slots[:count] if slot is not None]
-        start = count % self.capacity
-        ordered = slots[start:] + slots[:start]
-        return [slot for slot in ordered if slot is not None]
-
-    def latest(self) -> Optional[Dict[str, Any]]:
-        window = self.window()
-        return window[-1] if window else None
+# -- trace ring ----------------------------------------------------------
 
 
 class TraceRing:

@@ -133,7 +133,7 @@ class ObsSession:
 
 #: The ambient session lives in thread-local storage; None =
 #: observability off (the default).  Thread-local rather than a module
-#: global so the serve batcher's executor threads never race on one
+#: global so the serve job threads never race on one
 #: tracer's span stack — each thread sees only the session it (or its
 #: forking parent thread: ``fork`` preserves the forking thread's TLS)
 #: explicitly installed.
@@ -202,7 +202,7 @@ def adopt_context(ctx: Optional[Dict[str, Optional[str]]],
 
     This is the far side of :meth:`ObsSession.trace_context` for
     boundaries where the worker has no inherited ambient session — the
-    serve batcher's executor threads and the fleet supervisor→worker
+    serve job threads and the fleet supervisor→worker
     fork.  ``trace``/``metrics`` default to the calling thread's parent
     session switches when one is installed, else on.  Yields None (and
     installs nothing) when ``ctx`` is None, so callers pass the context

@@ -1,4 +1,4 @@
-"""Sharded, content-addressed cache of resolved instances.
+"""Content-addressed LRU cache of resolved instances.
 
 The expensive part of a small verification job is not the trials — it
 is rebuilding the static per-instance structure (automorphism search,
@@ -10,15 +10,11 @@ for the same ``(protocol, n, graph)`` after the first reuses a warm
 context — the serve-side equivalent of what ``run_trials`` does across
 the trials of one batch.
 
-Sharding
---------
-Executor threads hit the cache concurrently, so it is split into
-``shards`` independently-locked LRU maps addressed by the key's
-leading hex digits.  A lock is held only for the O(1) map operations —
-never while *building* an entry — so two concurrent misses on the same
-key may both build; the first insert wins and both callers get a
-usable entry (contexts are randomness-free, so either copy is
-correct).  That trade keeps the hot hit path contention-free.
+Job threads hit the cache concurrently, so one lock guards the LRU
+map.  It is held only for the O(1) map operations — never while
+*building* an entry — so two concurrent misses on the same key may
+both build; the first insert stays and both callers get a usable
+entry (contexts are randomness-free, so either copy is correct).
 """
 
 from __future__ import annotations
@@ -30,69 +26,51 @@ from typing import Any, Callable, Dict, Tuple, TypeVar
 T = TypeVar("T")
 
 
-class ShardedCache:
-    """A bounded LRU cache in ``shards`` independently-locked pieces."""
+class InstanceCache:
+    """A bounded, thread-safe LRU map from content address to value."""
 
-    def __init__(self, capacity: int = 256, shards: int = 8) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        self.shards = shards
-        #: per-shard capacity; the total bound is ``capacity`` rounded
-        #: up to a multiple of the shard count.
-        self.per_shard = max(1, -(-capacity // shards))
-        self._maps = [OrderedDict() for _ in range(shards)]
-        self._locks = [threading.Lock() for _ in range(shards)]
+        self.capacity = capacity
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    def _shard(self, key: str) -> int:
-        # Keys are hex content addresses, already uniform — the leading
-        # digits are as good a shard index as any hash of them.
-        return int(key[:8], 16) % self.shards
 
     def get_or_build(self, key: str,
                      build: Callable[[], T]) -> Tuple[T, bool]:
         """The cached value for ``key`` (LRU-refreshed), or ``build()``
         inserted under it.  Returns ``(value, hit)``.  ``build`` runs
-        outside the shard lock; it may raise, in which case nothing is
+        outside the lock; it may raise, in which case nothing is
         cached."""
-        index = self._shard(key)
-        shard, lock = self._maps[index], self._locks[index]
-        with lock:
-            if key in shard:
-                shard.move_to_end(key)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
                 self._hits += 1
-                return shard[key], True
+                return self._entries[key], True
             self._misses += 1
         value = build()
-        with lock:
-            if key not in shard:
-                shard[key] = value
-                if len(shard) > self.per_shard:
-                    shard.popitem(last=False)
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = value
+                if len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
                     self._evictions += 1
             else:
                 # A concurrent miss inserted first; keep its entry hot.
-                shard.move_to_end(key)
+                self._entries.move_to_end(key)
         return value, False
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._maps)
-
-    def clear(self) -> None:
-        for shard, lock in zip(self._maps, self._locks):
-            with lock:
-                shard.clear()
+        return len(self._entries)
 
     def stats(self) -> Dict[str, Any]:
         """Counters for the service's health/metrics endpoints."""
         return {
             "entries": len(self),
-            "shards": self.shards,
-            "per_shard_capacity": self.per_shard,
+            "capacity": self.capacity,
             "hits": self._hits,
             "misses": self._misses,
             "evictions": self._evictions,

@@ -8,9 +8,10 @@ default        bind the HTTP transport and serve until SIGINT/SIGTERM,
                EOF, drain, exit.
 ``--smoke N``  in-process self-test: pump ``N`` generated jobs (mixed
                valid, malformed, unsupported) through the full ndjson
-               pipeline, byte-check one result against a direct
-               ``run_trials`` call, and assert a clean drain.  Exit 0
-               only if everything holds — this is the CI smoke gate.
+               pipeline, byte-check the first result of every job kind
+               against a direct ``run_trials`` call, and assert a
+               clean drain.  Exit 0 only if everything holds — this is
+               the CI smoke gate.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .service import ServeConfig, VerifyService
 def _config_from_args(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(
         host=args.host, port=args.port, queue_limit=args.queue_limit,
-        batch_max=args.batch_max, pool_threads=args.pool_threads,
-        default_engine=args.engine,
+        pool_threads=args.pool_threads, default_engine=args.engine,
         timeout=args.timeout, drain_timeout=args.drain_timeout,
         cache_capacity=args.cache_capacity)
 
@@ -88,12 +88,18 @@ async def _run_stdio(config: ServeConfig) -> int:
 
 #: (protocol, graph, n) combinations the smoke generator cycles over —
 #: small instances from the lab registry that every engine serves.
+#: Sym/dAM runs at n=8, whose Protocol-2 prime still fits the numpy
+#: kernel's modulus bound (at n=10 its jobs fall back to python).
 _SMOKE_COMBOS: Tuple[Tuple[str, str, int], ...] = (
     ("sym-dmam", "cycle", 8),
-    ("sym-dam", "cycle", 10),
+    ("sym-dam", "cycle", 8),
     ("sym-lcp", "cycle", 8),
     ("sym-dmam", "cycle", 12),
 )
+
+#: Protocols whose numpy jobs must run on a batch kernel, never on
+#: the python fallback.
+_SMOKE_KERNELS = ("sym-dmam", "sym-dam")
 
 _SMOKE_BAD: Tuple[Tuple[str, str], ...] = (
     # (payload, expected error code)
@@ -173,7 +179,7 @@ async def _run_smoke(config: ServeConfig, count: int, seed: int,
     from ..obs.session import active
     from .http import serve_http
     from .jobs import result_payload
-    from .schema import parse_request
+    from .schema import WireError, parse_request
     from .stdio import serve_lines
 
     lines, expected_ok, expected_errors = _smoke_lines(
@@ -191,10 +197,25 @@ async def _run_smoke(config: ServeConfig, count: int, seed: int,
             json.loads(text)))
     drained = await service.drain()
 
+    # The request behind every valid line, and the first ok response
+    # of every job kind in completion order.
+    sent: Dict[str, Any] = {}
+    for line in lines:
+        try:
+            request = parse_request(line)
+        except WireError:
+            continue
+        sent[request.id] = request
+    ok_responses = [r for r in responses if r.get("ok")]
+    first_oks: Dict[str, Dict[str, Any]] = {}
+    for response in ok_responses:
+        first_oks.setdefault(sent[response["id"]].job.identity_key,
+                             response)
+    first_ok = next(iter(first_oks.values()), None)
+
     # Mid-run scrape: the service is still up — bind the HTTP
     # transport and hit the exposition endpoints like a scraper would.
     failures: List[str] = []
-    first_ok = next((r for r in responses if r.get("ok")), None)
     server = await serve_http(service, "127.0.0.1", 0)
     scrape_host, scrape_port = server.sockets[0].getsockname()[:2]
     status, exposition = await _http_get(scrape_host, scrape_port,
@@ -215,9 +236,9 @@ async def _run_smoke(config: ServeConfig, count: int, seed: int,
     await server.wait_closed()
     await service.close()
 
-    # Context-propagation gate: with tracing on, every request that
-    # reached the batcher must stitch into one connected tree (the
-    # serve.request span roots it; executor-buffer roots link to it).
+    # Context-propagation gate: with tracing on, every admitted
+    # request must stitch into one connected tree (the serve.request
+    # span roots it; job-thread buffer roots link to it).
     if sess is not None and sess.tracer.enabled:
         stitched = stitch_spans(sess.tracer.export())
         request_traces = {trace: bucket
@@ -246,7 +267,7 @@ async def _run_smoke(config: ServeConfig, count: int, seed: int,
                         f"saw {counts['errors']}")
     if not drained:
         failures.append("service did not drain cleanly")
-    if service.queue.qsize() or service._dispatches:
+    if service.queue.qsize() or service._inflight:
         failures.append("drain left work behind")
 
     # Error codes must match the taxonomy the bad payloads were built
@@ -266,28 +287,36 @@ async def _run_smoke(config: ServeConfig, count: int, seed: int,
                 f"payload {bad_id!r}: expected {code!r}, got "
                 f"{by_id[bad_id]['error']['code']!r}")
 
-    # Byte-identity spot check: the service result for the first ok
-    # response must equal a direct run_trials call with the same job.
-    if first_ok is not None:
-        from ..core.runner import run_trials
-        from .jobs import resolve_instance
-        from ..lab.spec import PROVERS
-        line = next(l for l in lines
-                    if f'"id": "{first_ok["id"]}"' in l.decode())
-        request = parse_request(line)
-        resolved = resolve_instance(request.job)
-        prover = PROVERS[request.job.prover](resolved.protocol)
+    # Byte-identity spot check: the first ok response of every job
+    # kind must equal a direct run_trials call with the same job.
+    from ..core.runner import run_trials
+    from ..lab.spec import PROVERS
+    from .jobs import resolve_instance
+    for response in first_oks.values():
+        job = sent[response["id"]].job
+        resolved = resolve_instance(job)
+        prover = PROVERS[job.prover](resolved.protocol)
         estimate = run_trials(resolved.protocol, resolved.instance,
-                              prover, request.job.trials,
-                              request.job.seed,
+                              prover, job.trials, job.seed,
                               context=resolved.context,
-                              engine=request.job.engine)
-        direct = json.dumps(result_payload(request.job, estimate),
+                              engine=job.engine)
+        direct = json.dumps(result_payload(job, estimate),
                             sort_keys=True)
-        served = json.dumps(first_ok["result"], sort_keys=True)
+        served = json.dumps(response["result"], sort_keys=True)
         if direct != served:
-            failures.append(f"byte-identity violated: direct {direct} "
+            failures.append(f"byte-identity violated for "
+                            f"{response['id']}: direct {direct} "
                             f"!= served {served}")
+
+    # Engine gate: a numpy job of a kernel protocol must have run on
+    # its batch kernel, not on the python fallback.
+    for response in ok_responses:
+        job = sent[response["id"]].job
+        engine = response["meta"]["engine"]
+        if job.engine == "numpy" and job.protocol in _SMOKE_KERNELS \
+                and engine != "numpy":
+            failures.append(f"{response['id']} ({job.protocol}, "
+                            f"n={job.n}) ran on the {engine} engine")
 
     summary = {
         "requests": count, "ok": counts["ok"],
@@ -353,10 +382,8 @@ def add_serve_parser(sub: "argparse._SubParsersAction") -> None:
                    help="HTTP port (0 picks a free one)")
     p.add_argument("--queue-limit", type=int, default=256,
                    help="admission bound; beyond it requests get 429")
-    p.add_argument("--batch-max", type=int, default=32,
-                   help="most jobs one batcher sweep coalesces")
     p.add_argument("--pool-threads", type=int, default=2,
-                   help="executor threads running trial batches")
+                   help="job threads, each running one job at a time")
     p.add_argument("--engine", default="python",
                    choices=["python", "numpy"],
                    help="engine for jobs that do not name one")

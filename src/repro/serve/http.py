@@ -16,7 +16,7 @@ Routes
                          may use — service discovery for load
                          generators.
 ``GET  /v1/metrics``     Prometheus text exposition: the ambient
-                         registry's latest ring snapshot plus
+                         registry as of the scrape plus
                          service-level gauges (scrape target).
 ``GET  /v1/trace/<id>``  a finished request's span tree (JSON), by
                          trace id or request id, from the bounded

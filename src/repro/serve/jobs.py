@@ -5,15 +5,15 @@ Resolution maps the job's registry keys through the lab registries
 (:mod:`repro.lab.spec`) — the same protocol constructors, instance
 families and prover panel every experiment uses — or decodes a literal
 graph6 payload, and binds a warm :class:`InstanceContext` to the pair.
-The resolved triple is what the sharded service cache stores under the
+The resolved triple is what the service's instance cache stores under the
 job's :attr:`~repro.serve.schema.JobSpec.identity_key`: protocols,
 instances and contexts are randomness-free and shared across jobs;
 provers are built fresh per job.
 
 Execution is one :func:`repro.core.runner.run_trials` call with the
 job's own ``(trials, seed)``, so a service response is byte-identical
-to what a direct library call produces: batching and caching share
-static structure across jobs, never randomness.
+to what a direct library call produces: the cache shares static
+structure across jobs, never randomness.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ class JobSpec:
     @property
     def identity_key(self) -> str:
         """Content address of the job's ``(protocol, instance)`` pair —
-        the sharded context cache's key, in the same style as the lab
+        the instance cache's key, in the same style as the lab
         spec identity hash.  Prover, trials, seed, engine and cert are
         deliberately excluded: the cached :class:`InstanceContext` is
         shared across all of them."""

@@ -1,5 +1,5 @@
-"""The asyncio verification service: admission control, batching,
-dispatch, drain.
+"""The asyncio verification service: admission control, job threads,
+drain.
 
 Request lifecycle
 -----------------
@@ -7,31 +7,31 @@ Request lifecycle
    :func:`repro.serve.schema.parse_request`; any rejection is an
    immediate error response (``malformed`` / ``unsupported``), nothing
    enters the queue.
-2. **Admit** — a bounded :class:`asyncio.Queue` is the only buffer in
-   the service.  A full queue (or a draining service) rejects with
-   ``overloaded`` *immediately* — backpressure is explicit 429-style
-   rejection, never unbounded buffering.
-3. **Batch** — the batcher task drains whatever is queued (up to
-   ``batch_max`` jobs), groups it by the jobs' content address
-   (:attr:`JobSpec.identity_key`), and dispatches one executor task
-   per group.  Jobs in a group run back-to-back on one warm
-   :class:`InstanceContext` from the sharded cache — coalescing shares
-   *static structure*, never randomness, so results are byte-identical
-   to direct :func:`run_trials` calls (gated in ``tests/serve``).
+2. **Admit** — one :class:`queue.SimpleQueue` is the only buffer in
+   the service.  Once ``queue_limit`` jobs wait in it (or while the
+   service drains) admission rejects with ``overloaded``
+   *immediately* — backpressure is explicit 429-style rejection,
+   never unbounded buffering.
+3. **Run** — ``pool_threads`` job threads each take one job at a time
+   from the queue, look its instance up in the instance cache under
+   the job's content address (:attr:`JobSpec.identity_key`) and run it
+   on that warm :class:`InstanceContext`.  Jobs share *static
+   structure*, never randomness, so results are byte-identical to
+   direct :func:`run_trials` calls (gated in ``tests/serve``).
 4. **Deadline** — each request carries a deadline (its ``timeout`` or
-   the service default), checked when its group reaches the executor:
-   expired jobs report ``timeout`` without running.  A ``run_trials``
-   batch already underway is never interrupted.
+   the service default), checked when a thread takes the job: an
+   expired job reports ``timeout`` without running.  A ``run_trials``
+   call already underway is never interrupted.
 5. **Drain** — :meth:`VerifyService.drain` stops admission and waits
-   for the queue and all in-flight groups; :meth:`close` then fails
-   anything still pending and shuts the executor down.  A service
-   stopped this way leaves no orphan tasks behind (the soak tier
-   asserts exactly that).
+   until no admitted job is in flight; :meth:`close` then fails the
+   jobs still queued, lets running jobs finish and stops the threads.
+   A service stopped this way leaves no task or thread behind (the
+   soak tier asserts exactly that).
 
 Observability: with an ambient :mod:`repro.obs` session installed the
 service records one ``serve.request`` span per completed request and
 ``serve/*`` counters/timers.  All of them are marked non-deterministic
-— admission outcomes, batch shapes and cache hits depend on arrival
+— admission outcomes, queue waits and cache hits depend on arrival
 timing — so serve traffic never pollutes the strict deterministic
 diff gates.
 """
@@ -39,19 +39,23 @@ diff gates.
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.live import MetricsRing, TraceRing, prometheus_text
+from ..obs.live import TraceRing, prometheus_text
 from ..obs.session import (Collected, active, adopt_context,
                            export_collected, merge_collected)
-from .cache import ShardedCache
-from .jobs import ResolvedInstance, execute_job, resolve_instance
+from .cache import InstanceCache
+from .jobs import execute_job, resolve_instance
 from .schema import (ERR_INTERNAL, ERR_OVERLOADED, ERR_TIMEOUT,
                      VerifyRequest, WireError, error_response,
                      ok_response, parse_request)
+
+#: What a job thread hands back to the event loop for one job.
+_Outcome = Tuple[Dict[str, Any], float, Optional[Collected]]
 
 
 @dataclass(frozen=True)
@@ -60,11 +64,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8478
-    #: admission-control bound: queued-but-undispatched requests.
+    #: admission-control bound: jobs waiting for a job thread.
     queue_limit: int = 256
-    #: most jobs one batcher sweep coalesces.
-    batch_max: int = 32
-    #: executor threads running ``run_trials`` batches.
+    #: job threads, each running one ``run_trials`` call at a time.
     pool_threads: int = 2
     #: engine for jobs that did not name one explicitly.
     default_engine: str = "python"
@@ -72,28 +74,16 @@ class ServeConfig:
     timeout: float = 30.0
     #: how long :meth:`VerifyService.drain` waits before giving up.
     drain_timeout: float = 10.0
-    #: resolved-instance cache geometry.
+    #: resolved-instance cache entries.
     cache_capacity: int = 256
-    cache_shards: int = 8
-    #: live-exposition throttle: at most one metrics-ring snapshot per
-    #: this many seconds (the ``GET /v1/metrics`` backing store).
-    metrics_interval: float = 0.25
-    #: finished request traces retained for ``GET /v1/trace/<id>``.
-    trace_capacity: int = 256
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be positive")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be positive")
         if self.pool_threads < 1:
             raise ValueError("pool_threads must be positive")
         if self.timeout <= 0 or self.drain_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        if self.metrics_interval < 0:
-            raise ValueError("metrics_interval must be >= 0")
-        if self.trace_capacity < 1:
-            raise ValueError("trace_capacity must be positive")
 
 
 @dataclass
@@ -105,15 +95,11 @@ class _Pending:
     enqueued: float
     deadline: float
     #: propagated trace context (None = observability off at admission)
-    #: plus the ambient session's switches, so the executor thread's
+    #: plus the ambient session's switches, so the job thread's
     #: adopted buffer mirrors them exactly.
     ctx: Optional[Dict[str, Optional[str]]] = field(default=None)
     obs_trace: bool = field(default=False)
     obs_metrics: bool = field(default=False)
-    #: filled by the executor: (response, run_seconds, collected) — the
-    #: event loop attaches queue timing and resolves the future.
-    outcome: Optional[Tuple[Dict[str, Any], float, Collected]] = \
-        field(default=None)
 
 
 class VerifyService:
@@ -128,36 +114,37 @@ class VerifyService:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.cache = ShardedCache(capacity=self.config.cache_capacity,
-                                  shards=self.config.cache_shards)
-        self.queue: "asyncio.Queue[_Pending]" = asyncio.Queue(
-            maxsize=self.config.queue_limit)
-        self.executor = ThreadPoolExecutor(
-            max_workers=self.config.pool_threads,
-            thread_name_prefix="repro-serve")
+        self.cache = InstanceCache(capacity=self.config.cache_capacity)
+        #: admitted jobs no thread has taken yet; ``None`` stops a thread.
+        self.queue: "queue.SimpleQueue[Optional[_Pending]]" = \
+            queue.SimpleQueue()
+        self._threads: List[threading.Thread] = []
         self._accepting = True
-        self._batcher: Optional[asyncio.Task] = None
-        self._dispatches: Set[asyncio.Task] = set()
+        #: admitted jobs not yet answered; only the event loop writes it.
+        self._inflight = 0
         self._counts: Dict[str, int] = {
-            "requests": 0, "ok": 0, "rejected": 0, "batches": 0,
-            "batched_jobs": 0, "timeouts": 0,
+            "requests": 0, "ok": 0, "rejected": 0, "timeouts": 0,
         }
-        #: live telemetry: bounded snapshot ring + finished traces.
-        self.live = MetricsRing(interval=self.config.metrics_interval)
-        self.traces = TraceRing(capacity=self.config.trace_capacity)
+        #: finished request traces behind ``GET /v1/trace/<id>``.
+        self.traces = TraceRing()
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the batcher; idempotent."""
-        if self._batcher is None:
-            self._batcher = asyncio.create_task(self._batch_loop(),
-                                                name="repro-serve-batcher")
+        """Start the job threads; idempotent."""
+        if self._threads:
+            return
+        loop = asyncio.get_running_loop()
+        for index in range(self.config.pool_threads):
+            thread = threading.Thread(target=self._work, args=(loop,),
+                                      name=f"repro-serve-{index}",
+                                      daemon=True)
+            thread.start()
+            self._threads.append(thread)
 
     @property
     def accepting(self) -> bool:
-        return self._accepting and self._batcher is not None \
-            and not self._batcher.done()
+        return self._accepting and bool(self._threads)
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop admission and wait for all admitted work to finish.
@@ -168,32 +155,31 @@ class VerifyService:
         self._accepting = False
         limit = self.config.drain_timeout if timeout is None else timeout
         deadline = time.monotonic() + limit
-        while self.queue.qsize() or self._dispatches:
+        while self._inflight:
             if time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0.005)
         return True
 
     async def close(self) -> None:
-        """Drain, then tear down: cancel the batcher, fail anything
-        still pending with ``overloaded``, shut the executor down."""
+        """Drain, then tear down: fail the jobs still queued with
+        ``overloaded``, let running jobs finish, stop the threads."""
         await self.drain()
-        if self._batcher is not None:
-            self._batcher.cancel()
+        while True:
             try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        while not self.queue.empty():
-            pending = self.queue.get_nowait()
-            self._resolve(pending, error_response(
+                pending = self.queue.get_nowait()
+            except queue.Empty:
+                break
+            self._finish(pending, error_response(
                 pending.request.id, ERR_OVERLOADED,
                 "service shut down before the job ran"))
-        if self._dispatches:
-            await asyncio.gather(*self._dispatches,
-                                 return_exceptions=True)
-        self.executor.shutdown(wait=True)
+        for _ in self._threads:
+            self.queue.put(None)
+        while self._inflight:
+            await asyncio.sleep(0.005)
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
 
     # -- request path ----------------------------------------------------
 
@@ -216,7 +202,7 @@ class VerifyService:
         if not self.accepting:
             return self._reject(request.id, ERR_OVERLOADED,
                                 "service is draining", started)
-        if self.queue.full():
+        if self.queue.qsize() >= self.config.queue_limit:
             return self._reject(
                 request.id, ERR_OVERLOADED,
                 f"queue full ({self.config.queue_limit} jobs); "
@@ -230,7 +216,7 @@ class VerifyService:
                            deadline=started + timeout)
         sess = active()
         if sess is not None:
-            # Mint the request's trace context up front: the executor
+            # Mint the request's trace context up front: the job
             # thread adopts it (buffer roots link back to the span id
             # minted here) and the post-hoc ``serve.request`` span
             # records itself under the very same ids.
@@ -238,7 +224,8 @@ class VerifyService:
             pending.ctx["span"] = sess.tracer.mint_span_id()
             pending.obs_trace = sess.tracer.enabled
             pending.obs_metrics = sess.metrics_enabled
-        self.queue.put_nowait(pending)
+        self._inflight += 1
+        self.queue.put(pending)
         return await pending.future
 
     def _reject(self, request_id: Optional[str], code: str,
@@ -247,118 +234,72 @@ class VerifyService:
         self._observe(request_id, response, started, run_seconds=0.0)
         return response
 
-    def _resolve(self, pending: _Pending, response: Dict[str, Any],
-                 run_seconds: float = 0.0,
-                 collected: Optional[Collected] = None) -> None:
+    def _finish(self, pending: _Pending, response: Dict[str, Any],
+                run_seconds: float = 0.0,
+                collected: Optional[Collected] = None) -> None:
+        """Event-loop side of one admitted job: count it out of the
+        in-flight total and answer its request."""
+        self._inflight -= 1
         self._observe(pending.request.id, response, pending.enqueued,
                       run_seconds, ctx=pending.ctx, collected=collected)
         if not pending.future.done():
             pending.future.set_result(response)
 
-    # -- batching --------------------------------------------------------
+    # -- job threads -----------------------------------------------------
 
-    async def _batch_loop(self) -> None:
+    def _work(self, loop: asyncio.AbstractEventLoop) -> None:
+        """One job thread: run queued jobs one at a time until it takes
+        the ``None`` that :meth:`close` puts in for it.  Every job it
+        takes is answered, so the in-flight count always drains."""
         while True:
-            first = await self.queue.get()
-            batch = [first]
-            while (len(batch) < self.config.batch_max
-                   and not self.queue.empty()):
-                batch.append(self.queue.get_nowait())
-            groups: Dict[str, List[_Pending]] = {}
-            for pending in batch:
-                key = pending.request.job.identity_key
-                groups.setdefault(key, []).append(pending)
-            self._counts["batches"] += len(groups)
-            self._counts["batched_jobs"] += len(batch)
-            for key, group in groups.items():
-                task = asyncio.create_task(self._dispatch(key, group))
-                self._dispatches.add(task)
-                task.add_done_callback(self._dispatches.discard)
-
-    async def _dispatch(self, key: str, group: List[_Pending]) -> None:
-        """Run one coalesced group on the executor and resolve every
-        request in it."""
-        loop = asyncio.get_running_loop()
-        try:
-            outcomes = await loop.run_in_executor(
-                self.executor, self._run_group, key, group)
-        except Exception as exc:  # pragma: no cover - executor death
-            outcomes = [(error_response(p.request.id, ERR_INTERNAL,
-                                        f"dispatch failed: {exc}"),
-                         0.0, None)
-                        for p in group]
-        for pending, (response, run_seconds, collected) in zip(group,
-                                                               outcomes):
-            self._resolve(pending, response, run_seconds, collected)
-
-    def _run_group(self, key: str,
-                   group: List[_Pending]
-                   ) -> List[Tuple[Dict[str, Any], float,
-                                   Optional[Collected]]]:
-        """Executor-side: resolve the group's shared instance once,
-        then run each job sequentially on the warm context.  Runs in a
-        worker thread — no event-loop state is touched here; spans and
-        metrics land in a per-request adopted buffer (the executor
-        thread has no ambient session of its own) which ships back with
-        the outcome for the event loop to merge."""
-        outcomes: List[Tuple[Dict[str, Any], float,
-                             Optional[Collected]]] = []
-        resolved: Optional[ResolvedInstance] = None
-        resolve_error: Optional[WireError] = None
-        cache_hit = False
-        for pending in group:
-            request = pending.request
-            now = time.monotonic()
-            if now >= pending.deadline:
-                self._counts["timeouts"] += 1
-                outcomes.append((error_response(
-                    request.id, ERR_TIMEOUT,
-                    f"deadline expired after "
-                    f"{now - pending.enqueued:.3f}s in queue"),
-                    0.0, None))
-                continue
-            if resolved is None and resolve_error is None:
-                try:
-                    resolved, cache_hit = self.cache.get_or_build(
-                        key, lambda: resolve_instance(request.job))
-                except WireError as exc:
-                    resolve_error = exc
-            if resolve_error is not None:
-                outcomes.append((error_response(
-                    request.id, resolve_error.code,
-                    resolve_error.message), 0.0, None))
-                continue
-            tick = time.monotonic()
+            pending = self.queue.get()
+            if pending is None:
+                return
             try:
-                with adopt_context(pending.ctx,
-                                   trace=pending.obs_trace,
-                                   metrics=pending.obs_metrics) as buf:
-                    result, estimate = execute_job(request.job,
-                                                   resolved)
-            except WireError as exc:
-                outcomes.append((error_response(request.id, exc.code,
-                                                exc.message), 0.0, None))
-                continue
+                outcome = self._run_job(pending)
             except Exception as exc:
-                outcomes.append((error_response(
-                    request.id, ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}"), 0.0, None))
-                continue
-            collected = export_collected(buf) if buf is not None \
-                else None
-            run_seconds = time.monotonic() - tick
-            meta = {
-                "engine": estimate.engine,
-                "workers": estimate.workers,
-                "cache_hit": cache_hit,
-                "batch": len(group),
-                "context_key": key,
-                "queue_ms": round((tick - pending.enqueued) * 1000, 3),
-                "run_ms": round(run_seconds * 1000, 3),
-            }
-            outcomes.append((ok_response(request.id, result, meta),
-                             run_seconds, collected))
-        return outcomes
+                outcome = (error_response(
+                    pending.request.id, ERR_INTERNAL,
+                    f"{type(exc).__name__}: {exc}"), 0.0, None)
+            loop.call_soon_threadsafe(self._finish, pending, *outcome)
+
+    def _run_job(self, pending: _Pending) -> _Outcome:
+        """Thread-side: check the deadline, resolve the job's instance
+        through the cache and run the job.  No event-loop state is
+        touched here; spans and metrics land in a per-request adopted
+        buffer (the thread has no ambient session of its own) which
+        ships back with the outcome for the event loop to merge."""
+        request = pending.request
+        now = time.monotonic()
+        if now >= pending.deadline:
+            return error_response(
+                request.id, ERR_TIMEOUT,
+                f"deadline expired after "
+                f"{now - pending.enqueued:.3f}s in queue"), 0.0, None
+        key = request.job.identity_key
+        try:
+            resolved, cache_hit = self.cache.get_or_build(
+                key, lambda: resolve_instance(request.job))
+            tick = time.monotonic()
+            with adopt_context(pending.ctx, trace=pending.obs_trace,
+                               metrics=pending.obs_metrics) as buf:
+                result, estimate = execute_job(request.job, resolved)
+        except WireError as exc:
+            return error_response(request.id, exc.code,
+                                  exc.message), 0.0, None
+        collected = export_collected(buf) if buf is not None else None
+        run_seconds = time.monotonic() - tick
+        meta = {
+            "engine": estimate.engine,
+            "workers": estimate.workers,
+            "cache_hit": cache_hit,
+            "batch": 1,
+            "context_key": key,
+            "queue_ms": round((tick - pending.enqueued) * 1000, 3),
+            "run_ms": round(run_seconds * 1000, 3),
+        }
+        return ok_response(request.id, result, meta), run_seconds, \
+            collected
 
     # -- observability ---------------------------------------------------
 
@@ -374,6 +315,8 @@ class VerifyService:
             self._counts["ok"] += 1
         else:
             self._counts["rejected"] += 1
+            if code == ERR_TIMEOUT:
+                self._counts["timeouts"] += 1
         sess = active()
         if sess is None:
             return
@@ -384,9 +327,9 @@ class VerifyService:
                 if ok:
                     span.note(run_ms=response["meta"]["run_ms"])
                 if ctx is not None:
-                    # The exact ids the executor buffer linked to at
-                    # admission — the request's spans stitch into one
-                    # connected tree under this root.
+                    # The exact ids the job thread's buffer linked to
+                    # at admission — the request's spans stitch into
+                    # one connected tree under this root.
                     span.meta["trace"] = ctx["trace"]
                     span.meta["span"] = ctx["span"]
             if collected is not None:
@@ -415,34 +358,29 @@ class VerifyService:
             metrics.timer("serve/seconds/total").inc(total)
             metrics.histogram("serve/latency_ms",
                               deterministic=False).observe(total * 1000)
-        self.live.maybe_push(sess)
 
     # -- introspection ---------------------------------------------------
 
     def metrics_text(self) -> str:
         """The Prometheus exposition for ``GET /v1/metrics``: the
-        latest ring snapshot of the ambient registry plus service-level
-        gauges (queue depth, counts, cache) — non-empty and well-formed
-        even with observability off."""
+        ambient registry as of this scrape plus service-level gauges
+        (queue depth, counts, cache) — non-empty and well-formed even
+        with observability off."""
         sess = active()
-        if sess is not None:
-            self.live.maybe_push(sess)
-        slot = self.live.latest()
-        snapshot = slot["metrics"] if slot is not None else {}
+        snapshot = sess.metrics.snapshot() if sess is not None else {}
         stats = self.stats()
         extra: Dict[str, Any] = {
             "serve/up": 1,
             "serve/accepting": int(stats["accepting"]),
             "serve/queue/depth": stats["queue"]["depth"],
             "serve/queue/limit": stats["queue"]["limit"],
-            "serve/inflight_groups": stats["inflight_groups"],
+            "serve/inflight": stats["inflight"],
             "serve/traces/retained": len(self.traces),
         }
         for name, value in stats["counts"].items():
             extra[f"serve/counts/{name}"] = value
         for name, value in stats["cache"].items():
-            if isinstance(value, (int, float)):
-                extra[f"serve/cache_stats/{name}"] = value
+            extra[f"serve/cache_stats/{name}"] = value
         return prometheus_text(snapshot, extra)
 
     def trace_tree(self, key: str) -> Optional[Dict[str, Any]]:
@@ -456,11 +394,10 @@ class VerifyService:
             "accepting": self.accepting,
             "queue": {"depth": self.queue.qsize(),
                       "limit": self.config.queue_limit},
-            "inflight_groups": len(self._dispatches),
+            "inflight": self._inflight,
             "counts": dict(self._counts),
             "cache": self.cache.stats(),
             "config": {
-                "batch_max": self.config.batch_max,
                 "pool_threads": self.config.pool_threads,
                 "default_engine": self.config.default_engine,
                 "timeout": self.config.timeout,

@@ -9,7 +9,9 @@ submitted job has resolved, which is what makes
 
 ``generate-jobs | python -m repro serve --stdin > responses.ndjson``
 
-drain cleanly.
+drain cleanly.  Each line is submitted as soon as it is read, so a
+producer that runs more than ``queue_limit`` lines ahead of the job
+threads gets ``overloaded`` responses for the excess.
 
 Responses are written in completion order, not submission order —
 clients correlate by ``id`` (that is why the schema requires one).

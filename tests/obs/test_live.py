@@ -1,14 +1,13 @@
-"""Live telemetry primitives: Prometheus exposition (golden), ring
-buffers, trace stitching, and the tail/dash read helpers."""
+"""Live telemetry primitives: Prometheus exposition (golden), the
+trace ring, trace stitching, and the tail/dash read helpers."""
 
 import pytest
 
-from repro.obs import (MetricsRing, TraceRing, histogram_quantile,
-                       metric_scalar, prometheus_name, prometheus_text,
-                       snapshot_deltas, stitch_spans)
+from repro.obs import (TraceRing, histogram_quantile, metric_scalar,
+                       prometheus_name, prometheus_text, snapshot_deltas,
+                       stitch_spans)
 from repro.obs.live import escape_help
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.session import ObsSession
 
 
 class TestPrometheusText:
@@ -75,40 +74,6 @@ class TestPrometheusText:
 
     def test_help_escaping(self):
         assert escape_help("a\\b\nc") == "a\\\\b\\nc"
-
-
-class TestMetricsRing:
-    def _session(self, bits=0):
-        sess = ObsSession(trace=False)
-        if bits:
-            sess.metrics.counter("runner/proof_bits").inc(bits)
-        return sess
-
-    def test_maybe_push_without_session_is_noop(self):
-        ring = MetricsRing()
-        assert ring.maybe_push(None) is False
-        assert len(ring) == 0
-
-    def test_throttle_window(self):
-        ring = MetricsRing(interval=10.0)
-        sess = self._session(bits=5)
-        assert ring.maybe_push(sess, now=100.0) is True
-        assert ring.maybe_push(sess, now=105.0) is False
-        assert ring.maybe_push(sess, now=110.5) is True
-        assert len(ring) == 2
-
-    def test_capacity_wraps_oldest_first(self):
-        ring = MetricsRing(capacity=3, interval=0.0)
-        for tick in range(5):
-            ring.push({"n": {"kind": "counter", "deterministic": True,
-                             "value": tick}}, now=float(tick))
-        assert len(ring) == 3
-        window = ring.window()
-        assert [slot["ts"] for slot in window] == [2.0, 3.0, 4.0]
-        assert ring.latest()["metrics"]["n"]["value"] == 4
-
-    def test_latest_on_empty_ring(self):
-        assert MetricsRing().latest() is None
 
 
 class TestTraceRing:

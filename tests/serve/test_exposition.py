@@ -84,6 +84,21 @@ class TestMetricsEndpoint:
         assert "repro_runner_proof_bits" in body
         assert "repro_serve_latency_ms_count 1" in body
 
+    def test_scrape_counts_every_finished_request(self):
+        """The registry is snapshotted when scraped, so a scrape right
+        after two requests counts both."""
+        async def scenario(port, service):
+            for request_id in ("req-1", "req-2"):
+                await _roundtrip(port, _post("/v1/verify",
+                                             _verify_body(request_id)))
+            return await _roundtrip(port, _get("/v1/metrics"))
+
+        with obs.session():
+            status, _, body = asyncio.run(_with_server(scenario))
+        assert status == 200
+        assert "repro_serve_requests 2" in body
+        assert "repro_serve_latency_ms_count 2" in body
+
     def test_post_metrics_is_405(self):
         async def scenario(port, service):
             return await _roundtrip(port, _post("/v1/metrics", b"{}"))

@@ -1,17 +1,21 @@
-"""Service-level tests: admission, batching, byte-identity, drain.
+"""Service-level tests: admission, byte-identity, drain.
 
 The load-bearing gate here is **byte-identity**: for identical jobs
 the service's ``result`` object must equal ``result_payload`` over a
-direct :func:`run_trials` call — across engines, cert levels, batching
-and cache state.  The acceptance criterion demands this be gated in
-tests, not just observed in the bench.
+direct :func:`run_trials` call — across engines, cert levels,
+concurrency and cache state.  The acceptance criterion demands this be
+gated in tests, not just observed in the bench.
 """
 
 import asyncio
 import json
+import sys
+import threading
+import time
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.core.kernels import numpy_available
 from repro.core.runner import run_trials
 from repro.lab.spec import PROVERS
@@ -53,6 +57,30 @@ def _run(payloads, config=None):
     return asyncio.run(_serve(payloads, config))
 
 
+class _HeldJobs:
+    """Holds every job thread inside ``execute_job`` until released,
+    so a test knows which job runs and which ones wait."""
+
+    def __init__(self, monkeypatch):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        execute = service_module.execute_job
+
+        def held(job, resolved):
+            self.started.set()
+            self.release.wait(10)
+            return execute(job, resolved)
+
+        monkeypatch.setattr(service_module, "execute_job", held)
+
+    async def running(self):
+        """Return once a job thread has taken a job and is held."""
+        deadline = time.monotonic() + 10
+        while not self.started.is_set():
+            assert time.monotonic() < deadline, "no job thread took a job"
+            await asyncio.sleep(0.001)
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("engine", [
         "python",
@@ -74,17 +102,24 @@ class TestByteIdentity:
             assert direct == served
 
     def test_batched_jobs_identical_to_unbatched(self):
-        """Coalescing shares the context, never randomness: a crowd of
-        same-instance jobs equals each run alone."""
+        """The cache shares the context, never randomness: a crowd of
+        same-instance jobs sent together, on more job threads than
+        cores switching as often as the interpreter allows, equals
+        each run alone."""
         payloads = [_request(i, seed=7 + i, trials=6)
                     for i in range(16)]
-        batched, service = _run(payloads,
-                                ServeConfig(batch_max=16))
-        # All sixteen share one identity key, so coalescing collapses
-        # them into far fewer executor groups than requests.
-        counts = service.stats()["counts"]
-        assert counts["batched_jobs"] == len(payloads)
-        assert counts["batches"] < len(payloads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batched, service = _run(payloads,
+                                    ServeConfig(pool_threads=4))
+        finally:
+            sys.setswitchinterval(interval)
+        # All sixteen share one identity key, so they share one
+        # cached context.
+        cache = service.cache.stats()
+        assert cache["entries"] == 1
+        assert cache["hits"] + cache["misses"] == len(payloads)
         for payload, response in zip(payloads, batched):
             alone, _ = _run([payload])
             assert response["result"] == alone[0]["result"]
@@ -105,28 +140,36 @@ class TestByteIdentity:
 
 
 class TestAdmissionControl:
-    def test_queue_full_rejects_overloaded(self):
-        async def scenario():
-            # queue_limit=1: once the first job occupies the only
-            # slot, the next admission attempt sees a full queue.
-            # One sleep(0) lets the first handle() enqueue but is too
-            # short for the batcher to drain it.
-            service = VerifyService(ServeConfig(queue_limit=1))
-            await service.start()
-            first = asyncio.ensure_future(
-                service.handle(_request(0)))
-            await asyncio.sleep(0)
-            assert service.queue.full()
-            second = await service.handle(_request(1))
-            first_response = await first
-            await service.close()
-            return first_response, second
+    def test_queue_full_rejects_overloaded(self, monkeypatch):
+        """While the one job thread runs a job, ``queue_limit`` more
+        jobs wait and the next one is rejected."""
+        held = _HeldJobs(monkeypatch)
 
-        first, second = asyncio.run(scenario())
-        assert first["ok"]
-        assert not second["ok"]
-        assert second["error"]["code"] == "overloaded"
-        assert second["error"]["status"] == 429
+        async def scenario():
+            service = VerifyService(ServeConfig(queue_limit=2,
+                                                pool_threads=1))
+            await service.start()
+            admitted = [asyncio.ensure_future(
+                service.handle(_request(0)))]
+            await held.running()
+            admitted += [asyncio.ensure_future(
+                service.handle(_request(i, seed=i))) for i in (1, 2)]
+            # Arrive later than the two waiting jobs, as a client
+            # sending jobs a few ms apart does.
+            await asyncio.sleep(0.01)
+            late = asyncio.ensure_future(
+                service.handle(_request(3, seed=3)))
+            await asyncio.wait({late}, timeout=2.0)
+            held.release.set()
+            responses = await asyncio.gather(*admitted)
+            await service.close()
+            return responses, await late
+
+        responses, rejected = asyncio.run(scenario())
+        assert all(response["ok"] for response in responses)
+        assert not rejected["ok"]
+        assert rejected["error"]["code"] == "overloaded"
+        assert rejected["error"]["status"] == 429
 
     def test_draining_service_rejects(self):
         async def scenario():
@@ -187,24 +230,40 @@ class TestLifecycle:
         leftover, service = asyncio.run(scenario())
         assert leftover == []
         assert service.queue.qsize() == 0
-        assert not service._dispatches
+        assert service.stats()["inflight"] == 0
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("repro-serve")]
 
-    def test_close_fails_queued_jobs(self):
+    def test_close_fails_queued_jobs(self, monkeypatch):
+        """A drain that times out: ``close()`` fails the job still
+        waiting and lets the running one finish."""
+        held = _HeldJobs(monkeypatch)
+
         async def scenario():
-            service = VerifyService()  # batcher never started
-            pending = asyncio.ensure_future(service.handle(_request(0)))
+            service = VerifyService(ServeConfig(pool_threads=1,
+                                                drain_timeout=0.05))
+            await service.start()
+            running = asyncio.ensure_future(service.handle(_request(0)))
+            await held.running()
+            waiting = asyncio.ensure_future(
+                service.handle(_request(1, seed=1)))
             await asyncio.sleep(0)
-            service._accepting = False
-            await service.close()
-            return await pending
+            closing = asyncio.ensure_future(service.close())
+            await asyncio.wait({waiting}, timeout=2.0)
+            held.release.set()
+            await closing
+            return await running, await waiting
 
-        response = asyncio.run(scenario())
-        assert response["error"]["code"] == "overloaded"
+        running, waiting = asyncio.run(scenario())
+        assert running["ok"]
+        assert waiting["error"]["code"] == "overloaded"
+        assert waiting["error"]["message"] == \
+            "service shut down before the job ran"
 
     def test_stats_shape(self):
         _, service = _run([_request(0)])
         stats = service.stats()
-        assert set(stats) >= {"accepting", "queue", "inflight_groups",
+        assert set(stats) >= {"accepting", "queue", "inflight",
                               "counts", "cache", "config"}
         assert stats["counts"]["ok"] == 1
 

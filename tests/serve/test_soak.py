@@ -3,9 +3,11 @@
 Deselected from tier-1 (``addopts`` carries ``-m 'not soak'``); run it
 explicitly with ``pytest -m soak tests/serve``.  The test hammers one
 service instance with concurrent clients for ~30 seconds and asserts
-the three leak classes a long-running service can develop:
+the four leak classes a long-running service can develop:
 
 * **tasks** — every asyncio task the service spawned is gone after
+  ``close()``;
+* **threads** — no ``repro-serve-*`` job thread is alive after
   ``close()``;
 * **file descriptors** — the process fd count returns to (near) its
   pre-soak level;
@@ -22,6 +24,7 @@ import gc
 import json
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -58,6 +61,11 @@ def _fd_count():
     return len(os.listdir("/proc/self/fd"))
 
 
+def _serve_threads():
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve")]
+
+
 def _payload(index, rng):
     protocol, graph, n = _COMBOS[rng.randrange(len(_COMBOS))]
     if index % 17 == 16:  # a trickle of malformed traffic
@@ -70,8 +78,8 @@ def _payload(index, rng):
 
 
 async def _soak():
-    service = VerifyService(ServeConfig(
-        queue_limit=128, batch_max=16, pool_threads=2))
+    service = VerifyService(ServeConfig(queue_limit=128,
+                                        pool_threads=2))
     await service.start()
     deadline = time.monotonic() + SOAK_SECONDS
     sent = {}
@@ -111,8 +119,9 @@ def test_sustained_load_leaks_nothing():
 
     assert drained, "service did not drain after the soak"
     assert leftover == [], f"leaked asyncio tasks: {leftover}"
+    assert _serve_threads() == [], "leaked job threads"
     assert service.queue.qsize() == 0
-    assert not service._dispatches
+    assert service.stats()["inflight"] == 0
 
     counts = service.stats()["counts"]
     assert counts["requests"] > CLIENTS, "soak barely ran"
@@ -185,3 +194,4 @@ def test_http_soak_connections_close():
     gc.collect()
     assert served > 10
     assert _fd_count() <= fd_before + FD_SLACK
+    assert _serve_threads() == [], "leaked job threads"
