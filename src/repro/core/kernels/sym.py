@@ -8,33 +8,38 @@ shape, broadcast consistency, range checks, aggregation equalities) is
 challenge-independent and passes by construction for these provers,
 whose aggregates are the truthful subtree sums Lemma 3.3 forces.  So a
 trial's verdict is the root's collision test ``a_r == b_r`` on the two
-totals Σa and Σb under the root's challenge, and a batch computes only
-that:
+totals Σa = h_s(A) and Σb = h_s(B) under the root's challenge s, where
+A holds N[v] in row v and B holds ρ(N[v]) in row ρ(v).  The family is
+linear, so the test is h_s(A − B) = 0, and a batch computes only that:
 
-1. each trial's challenges in vertex order up to the root's, the one
-   coin the hashes read;
-2. every node's adjacency row and ρ-image row hashed under it — a
-   ``(trials, nodes)`` evaluation of the Theorem-3.2 family
-   (:meth:`~repro.hashing.linear.LinearHashFamily.row_hash_batch`,
-   one int64 matmul per side);
-3. the two totals mod p, compared — the accept mask.
+1. the signed difference A − B, once per (context, ρ)
+   (:func:`_signed_difference`): a plus and a minus row set, or
+   nothing when ρ is an automorphism — then every trial accepts, and
+   no coin is drawn or hashed;
+2. otherwise each trial's challenges in vertex order up to the root's,
+   the one coin the hashes read;
+3. both row sets hashed under it (``row_tables_batch`` and
+   ``row_hash_batch_csr`` of the Theorem-3.2 family, work in the
+   coordinates where A and B differ) and their totals compared mod p —
+   the accept mask.
 
 A transcript (:meth:`_SymAggregateKernel.execution_result`) also needs
 every node's challenge and every subtree aggregate, so only it draws
-the full row and folds the terms up the spanning tree (one prefix sum
-over a DFS preorder, in which every subtree is a contiguous run).  Its
-verdict comes from the same function as the batch's, and the runner
-cross-checks it against the reference engine on trial 0 of every
-batch (:class:`~repro.core.kernels.base.KernelMismatch`), so the
-reduction can never silently drift from the real decision functions.
+the full row, hashes every node's two rows and folds the terms up the
+spanning tree (one prefix sum over a DFS preorder, in which every
+subtree is a contiguous run).  Its verdict comes from the same
+function as the batch's, and the runner cross-checks it against the
+reference engine on trial 0 of every batch
+(:class:`~repro.core.kernels.base.KernelMismatch`), so the reduction
+can never silently drift from the real decision functions.
 
-Permutation ρ's ride the sparse path: both hash sides use the CSR
-closed adjacency (``InstanceContext.closed_adjacency_csr``), the image
-side with its column indices mapped through ρ — O(trials · edges) work
-and memory, which is what makes n in the tens of thousands batchable.
-Protocol 2's committed provers may carry arbitrary *mappings*, which
-go through a dense one-hot matmul instead — Lemma 3.1 never required a
-permutation, and neither does the kernel.
+Both sides are CSR row sets over the closed adjacency
+(``InstanceContext.closed_adjacency_csr``), the image side with its
+column indices mapped through ρ — O(trials · edges) work and memory,
+which is what makes n in the tens of thousands batchable.  Protocol 2's
+committed provers may carry arbitrary *mappings*, whose image rows are
+clamped back to 0/1 where ρ merges two members of N[v] — Lemma 3.1
+never required a permutation, and neither does the kernel.
 """
 
 from __future__ import annotations
@@ -73,36 +78,30 @@ class _SymAggregateKernel(TrialKernel):
         self.rho = tuple(rho)
         self.root = root
 
+        indptr, indices = context.closed_adjacency_csr()
         rho_arr = np.asarray(self.rho, dtype=np.int64)
         if sorted(self.rho) == list(range(n)):
-            # Permutation: hash both sides sparsely.  The b-side row of
-            # node v is the characteristic vector of ρ(N[v]) — the same
-            # CSR layout with every column index mapped through ρ (a
-            # permutation never collapses entries), so no dense (n, n)
-            # matrix is ever materialized.
-            indptr, indices = context.closed_adjacency_csr()
-            image_indices = rho_arr[indices]
-            image_indices.setflags(write=False)
-            self._csr = (indptr, indices)
-            self._csr_image = (indptr, image_indices)
-            self._adjacency = None
-            self._image_rows = None
+            # A permutation never collapses entries: node v's image row
+            # is N[v] with every column index mapped through ρ.
+            image = (indptr, rho_arr[indices])
         else:
-            # Arbitrary mapping (Protocol 2 committed cheaters): the
-            # image set ρ(N[v]) may collapse vertices, so build it as
-            # closed-adjacency × one-hot(ρ), clamped back to 0/1.
-            # These provers only appear on small NO instances, where
-            # the dense path is fine.
-            adjacency = context.closed_adjacency()
-            onehot = np.zeros((n, n), dtype=np.int64)
-            onehot[np.arange(n), rho_arr] = 1
-            image_rows = (adjacency @ onehot > 0).astype(np.int64)
-            self._csr = None
-            self._csr_image = None
-            self._adjacency = adjacency
-            self._image_rows = image_rows
-        self._a_row_index = np.arange(n, dtype=np.int64)
-        self._b_row_index = rho_arr
+            # An arbitrary mapping (Protocol 2's committed cheaters)
+            # may send two members of N[v] to one vertex: each node's
+            # image row is clamped back to 0/1 (sorted and deduplicated
+            # by hand: a plain np.unique call imports numpy.ma).
+            cells = np.sort(_row_positions(np.arange(n), indptr) * n
+                            + rho_arr[indices])
+            cells = cells[np.diff(cells, prepend=-1) > 0]
+            image = (np.searchsorted(cells, np.arange(n + 1) * n),
+                     cells % n)
+        # The two hashed n×n matrices as CSR row sets (row positions,
+        # indptr, indices): A holds N[v] in row v, B node v's image row
+        # in row ρ(v), once per node.
+        self._sides = ((np.arange(n, dtype=np.int64), indptr, indices),
+                       (rho_arr, *image))
+        self._difference = context.memo(
+            ("sym.signed_difference", self.rho),
+            lambda: _signed_difference(n, *self._sides))
         self._order, self._ends = context.tree_levels(root)
         self._advice = context.tree_advice(root)
         # The only root check that is not satisfied by construction
@@ -158,34 +157,37 @@ class _SymAggregateKernel(TrialKernel):
 
     def _hash_terms(self, coins):
         """Both sides' per-node hash terms, ``(trials, nodes)`` each,
-        under each trial's root coin: one table build for both sides.
-        Each side still gathers on its own, which keeps the transient
-        (trials, nnz) array at one side's size."""
+        under each trial's root coin — what a transcript's aggregates
+        fold: one table build for both sides, each side gathered on
+        its own."""
         tables = self.family.row_tables_batch(coins, self.n)
-        if self._csr is not None:
-            return (self.family.row_hash_batch_csr(
-                        tables, self._a_row_index, *self._csr),
-                    self.family.row_hash_batch_csr(
-                        tables, self._b_row_index, *self._csr_image))
-        return (self.family.row_hash_batch(
-                    tables, self._a_row_index, self._adjacency),
-                self.family.row_hash_batch(
-                    tables, self._b_row_index, self._image_rows))
+        return tuple(self.family.row_hash_batch_csr(tables, *side)
+                     for side in self._sides)
 
-    def _verdict(self, a_terms, b_terms):
-        """The accept mask: the root's collision test ``a_r = b_r``.
+    def _verdict(self, count: int, coins):
+        """The accept mask of ``count`` trials: the root's collision
+        test ``a_r = b_r``.
 
-        For these provers ``a_r`` and ``b_r`` are the totals Σa and Σb
-        mod p (Lemma 3.3), so only the two totals are folded.  Both
-        kernel paths read their verdict here: :meth:`run_batch` for
-        every trial, :meth:`execution_result` for the one the runner
-        cross-checks.  The sums stay exact below n·p < 2⁶²
-        (``_check_sum_headroom``)."""
+        For these provers ``a_r`` and ``b_r`` are h_s(A) and h_s(B)
+        (Lemma 3.3), so the test is h_s(A − B) = 0: it accepts every
+        trial when the difference is empty, and otherwise compares the
+        totals of its plus and minus row sets under each trial's root
+        coin (``coins``, read only then).  Both kernel paths read their
+        verdict here: :meth:`run_batch` for every trial,
+        :meth:`execution_result` for the one the runner cross-checks.
+        """
         np = require_numpy()
         if not self._root_static_ok:  # provers guarantee a moved root
-            return np.zeros(a_terms.shape[0], dtype=bool)
-        return (a_terms.sum(axis=1) % self.p
-                == b_terms.sum(axis=1) % self.p)
+            return np.zeros(count, dtype=bool)
+        if self._difference is None:
+            return np.ones(count, dtype=bool)
+        tables = self.family.row_tables_batch(coins, self.n)
+        plus, minus = (
+            0 if rows is None else
+            self.family.row_hash_batch_csr(tables, *rows).sum(axis=1)
+            % self.p
+            for rows in self._difference)
+        return plus == minus
 
     def _aggregate(self, terms):
         """Fold per-node terms into subtree sums — the batched form of
@@ -207,20 +209,20 @@ class _SymAggregateKernel(TrialKernel):
                   stop_on_first_reject: bool) -> TrialBatch:
         np = require_numpy()
         tick = time.perf_counter()
-        coins = self._root_coins(seed, start, count)
+        coins = (None if self._difference is None
+                 else self._root_coins(seed, start, count))
         arthur_seconds = time.perf_counter() - tick
         tick = time.perf_counter()
-        a_terms, b_terms = self._hash_terms(coins)
+        accepted = self._verdict(count, coins)
         merlin_seconds = time.perf_counter() - tick
         tick = time.perf_counter()
-        accepted = self._verdict(a_terms, b_terms)
-        decide_seconds = time.perf_counter() - tick
         n = self.n
         # The reference engine decides nodes in vertex order; every
         # node before the root accepts by construction, so a rejecting
         # trial short-circuits exactly at the root.
         reject_calls = self.root + 1 if stop_on_first_reject else n
         decide_calls = np.where(accepted, n, reject_calls)
+        decide_seconds = time.perf_counter() - tick
         return TrialBatch(
             start=start,
             count=count,
@@ -242,12 +244,13 @@ class _SymAggregateKernel(TrialKernel):
         arthur_seconds = time.perf_counter() - tick
         tick = time.perf_counter()
         coin = challenges[self.root]
-        a_terms, b_terms = self._hash_terms(np.array([coin]))
+        coins = np.array([coin], dtype=np.int64)
+        a_terms, b_terms = self._hash_terms(coins)
         a_values = self._aggregate(a_terms)[0].tolist()
         b_values = self._aggregate(b_terms)[0].tolist()
         merlin_seconds = time.perf_counter() - tick
         tick = time.perf_counter()
-        accepted = bool(self._verdict(a_terms, b_terms)[0])
+        accepted = bool(self._verdict(1, coins)[0])
         if accepted:
             decisions = {v: True for v in range(self.n)}
         elif stop_on_first_reject:
@@ -269,6 +272,51 @@ class _SymAggregateKernel(TrialKernel):
                            "decide": decide_seconds},
             decide_calls=len(decisions),
         )
+
+
+def _signed_difference(n: int, a_side, b_side):
+    """The coordinates where the two hashed n×n matrices differ:
+    ``(plus, minus)`` CSR row sets (each ``(row_indices, indptr,
+    indices)``, or None when empty) with A − B = plus − minus, or None
+    when A = B, i.e. when ρ is an automorphism.
+
+    ``a_side`` and ``b_side`` are the kernel's two sides as CSR row
+    sets; B counts a cell once per node whose image row holds it, since
+    several nodes may share ρ(v).  Integer counts, independent of the
+    modulus, so both protocols and every prime share one difference per
+    (context, ρ)."""
+    np = require_numpy()
+    a_cells, b_cells = (_row_positions(rows, indptr) * n + indices
+                        for rows, indptr, indices in (a_side, b_side))
+    cells, position = np.unique(np.concatenate((a_cells, b_cells)),
+                                return_inverse=True)
+    counts = (np.bincount(position[:a_cells.size], minlength=cells.size)
+              - np.bincount(position[a_cells.size:], minlength=cells.size))
+    if not counts.any():
+        return None
+    return tuple(_row_set(np.repeat(cells[side], abs(counts[side])), n)
+                 for side in (counts > 0, counts < 0))
+
+
+def _row_positions(rows, indptr):
+    """The row position of every CSR entry."""
+    np = require_numpy()
+    return np.repeat(np.asarray(rows, dtype=np.int64), np.diff(indptr))
+
+
+def _row_set(cells, n: int):
+    """Sorted flat cells ``i·n + j``, repeated by multiplicity, as a
+    CSR row set, or None when there are none.  A row of the minus side
+    may hold several nodes' image rows, so each CSR row takes at most
+    n entries, the row length ``row_tables_batch``'s int64 headroom
+    covers; its ≤ 2n row terms then total below 2n·p < 2⁶³."""
+    if not cells.size:
+        return None
+    np = require_numpy()
+    rows, columns = np.divmod(cells, n)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    starts = np.flatnonzero(rank % n == 0)
+    return rows[starts], np.append(starts, rows.size), columns
 
 
 class SymDMAMKernel(_SymAggregateKernel):

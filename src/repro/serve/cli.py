@@ -381,7 +381,8 @@ def add_serve_parser(sub: "argparse._SubParsersAction") -> None:
     p.add_argument("--port", type=int, default=8478,
                    help="HTTP port (0 picks a free one)")
     p.add_argument("--queue-limit", type=int, default=256,
-                   help="admission bound; beyond it requests get 429")
+                   help="admission bound; beyond it HTTP requests get "
+                        "429, and --stdin stops reading")
     p.add_argument("--pool-threads", type=int, default=2,
                    help="job threads, each running one job at a time")
     p.add_argument("--engine", default="python",

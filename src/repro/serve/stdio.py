@@ -9,9 +9,11 @@ submitted job has resolved, which is what makes
 
 ``generate-jobs | python -m repro serve --stdin > responses.ndjson``
 
-drain cleanly.  Each line is submitted as soon as it is read, so a
-producer that runs more than ``queue_limit`` lines ahead of the job
-threads gets ``overloaded`` responses for the excess.
+drain cleanly.  The loop stops reading while ``queue_limit`` requests
+are in flight (submitted, not yet answered), so a producer that runs
+ahead of the job threads is held back by the pipe: fewer than
+``queue_limit`` jobs can be waiting when a line is submitted, and no
+line is refused ``overloaded`` for queue space.
 
 Responses are written in completion order, not submission order —
 clients correlate by ``id`` (that is why the schema requires one).
@@ -39,22 +41,27 @@ async def serve_lines(service: VerifyService,
     pending: Set["asyncio.Task"] = set()
     counts = {"requests": 0, "ok": 0, "errors": 0}
     lock = asyncio.Lock()
+    in_flight = asyncio.Semaphore(service.config.queue_limit)
 
     async def _one(payload: bytes) -> None:
-        response = await service.handle(payload)
-        if response.get("ok"):
-            counts["ok"] += 1
-        else:
-            counts["errors"] += 1
-        async with lock:  # lines must not interleave
-            write(encode_response(response) + "\n")
-            if flush is not None:
-                flush()
+        try:
+            response = await service.handle(payload)
+            if response.get("ok"):
+                counts["ok"] += 1
+            else:
+                counts["errors"] += 1
+            async with lock:  # lines must not interleave
+                write(encode_response(response) + "\n")
+                if flush is not None:
+                    flush()
+        finally:
+            in_flight.release()
 
     async for raw in lines:
         line = raw.strip()
         if not line:
             continue
+        await in_flight.acquire()  # backpressure: read no further
         counts["requests"] += 1
         task = asyncio.ensure_future(_one(line))
         pending.add(task)

@@ -171,6 +171,34 @@ class TestAdmissionControl:
         assert rejected["error"]["code"] == "overloaded"
         assert rejected["error"]["status"] == 429
 
+    def test_ndjson_reads_no_further_than_queue_limit(self):
+        """A producer that pipes every line at once is held back by the
+        transport, not refused: the loop stops reading while
+        ``queue_limit`` requests are in flight."""
+        from repro.serve.stdio import serve_lines
+        lines = [_request(i, n=64, trials=10, seed=i).encode()
+                 for i in range(40)]
+
+        async def source():
+            for line in lines:
+                yield line
+
+        async def scenario():
+            service = VerifyService(ServeConfig(queue_limit=2,
+                                                pool_threads=1))
+            await service.start()
+            responses = []
+            counts = await serve_lines(
+                service, source(),
+                lambda text: responses.append(json.loads(text)))
+            await service.close()
+            return counts, responses
+
+        counts, responses = asyncio.run(scenario())
+        assert counts == {"requests": 40, "ok": 40, "errors": 0}
+        assert sorted(response["id"] for response in responses) == \
+            sorted(f"req-{i}" for i in range(40))
+
     def test_draining_service_rejects(self):
         async def scenario():
             service = VerifyService()
